@@ -51,8 +51,6 @@ from .verifier import (
     IndexReport,
     VerificationReport,
     bound_chain,
-    cache_load,
-    cache_store,
     e8_threshold_check,
     final_threshold,
     run_identity_suite,
@@ -79,8 +77,6 @@ __all__ = [
     "Squarefree",
     "VerificationReport",
     "bound_chain",
-    "cache_load",
-    "cache_store",
     "certify",
     "check_nu2_lemma",
     "check_pq_relation",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .arith import FactorPolicy, factor
@@ -18,6 +19,7 @@ from .lehmer import LehmerStatus, lehmer_check
 from .sequences import digits10, pell_pair
 from .verifier import (
     FactorCache,
+    big_int_strings,
     bound_chain,
     canonical_json,
     run_identity_suite,
@@ -26,18 +28,6 @@ from .verifier import (
 
 CACHE_ENV_VAR = "PELLCHECK_CACHE"
 DEFAULT_INDEX_CAP = 1_000_000
-
-
-def _big_str(v: int) -> str:
-    """str() for integers that may exceed the int-to-str guard."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        return str(v)
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(max(limit, digits10(v) + 16))
-        return str(v)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _policy_args(sub: argparse.ArgumentParser) -> None:
@@ -136,11 +126,10 @@ def _check_index(parser: argparse.ArgumentParser, name: str, value: int,
 
 def _cmd_pell(args: argparse.Namespace) -> int:
     pair = pell_pair(args.n)
-    if args.pair:
-        print(_big_str(pair.p))
-        print(_big_str(pair.q))
-    else:
-        print(_big_str(pair.p))
+    with big_int_strings():
+        print(pair.p)
+        if args.pair:
+            print(pair.q)
     return 0
 
 
@@ -164,12 +153,13 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     if args.format == "structured":
         sys.stdout.write(canonical_json(_factorization_dict(f)))
         return 0
-    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors]
-    if f.cofactor != 1:
-        parts.append(f"[composite cofactor {_big_str(f.cofactor)}]")
-    rhs = " * ".join(parts) if parts else "1"
-    status = "complete" if f.complete else "INCOMPLETE"
-    print(f"{_big_str(target)} = {rhs}  ({status})")
+    with big_int_strings():
+        parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors]
+        if f.cofactor != 1:
+            parts.append(f"[composite cofactor {f.cofactor}]")
+        rhs = " * ".join(parts) if parts else "1"
+        status = "complete" if f.complete else "INCOMPLETE"
+        print(f"{target} = {rhs}  ({status})")
     return 0
 
 
@@ -190,9 +180,11 @@ def _cmd_lehmer(args: argparse.Namespace) -> int:
         }
         sys.stdout.write(canonical_json(payload))
     else:
-        extra = f", evidence {verdict.evidence}" if verdict.evidence else ""
-        print(f"{_big_str(target)}: {verdict.status.value} "
-              f"({verdict.reason.value}{extra})")
+        with big_int_strings():
+            extra = (f", evidence {verdict.evidence}"
+                     if verdict.evidence else "")
+            print(f"{target}: {verdict.status.value} "
+                  f"({verdict.reason.value}{extra})")
     if verdict.status == LehmerStatus.UNDECIDED:
         return 1
     return 0
@@ -201,16 +193,7 @@ def _cmd_lehmer(args: argparse.Namespace) -> int:
 def _cmd_identities(args: argparse.Namespace) -> int:
     result = run_identity_suite(args.n_max)
     if args.format == "structured":
-        payload = {
-            "n_max": result.n_max,
-            "nu2_n_max": result.nu2_n_max,
-            "pq_relation_ok": result.pq_relation_ok,
-            "split_product_ok": result.split_product_ok,
-            "nu2_lemma_ok": result.nu2_lemma_ok,
-            "nu2_transfer_ok": result.nu2_transfer_ok,
-            "failures": list(result.failures),
-            "all_ok": result.all_ok,
-        }
+        payload = {**asdict(result), "all_ok": result.all_ok}
         sys.stdout.write(canonical_json(payload))
     else:
         print(f"companion relation up to {result.n_max}: "
@@ -226,31 +209,16 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     return 0 if result.all_ok else 1
 
 
+def _print_progress(r) -> None:
+    print(f"n={r.n}: {r.verdict.status.value}/{r.verdict.reason.value} "
+          f"({r.elapsed_ms:.0f} ms)", file=sys.stderr)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     policy = _policy_from(args)
     cache = FactorCache(args.cache) if args.cache else None
-    if args.verbose:
-        from .verifier import VerifyContext, verify_index
-
-        context = VerifyContext(policy, file_cache=cache)
-        reports = []
-        for n in range(1, args.n_max + 1):
-            r = verify_index(n, policy, context=context)
-            reports.append(r)
-            print(f"n={n}: {r.verdict.status.value}/{r.verdict.reason.value} "
-                  f"({r.elapsed_ms:.0f} ms)", file=sys.stderr)
-        from .verifier import VerificationReport, bounds_summary
-
-        report = VerificationReport(
-            schema=1, n_max=args.n_max, policy=policy,
-            indices=tuple(reports), bounds=bounds_summary(),
-            cache_path=cache.path if cache else None,
-            cache_loaded=cache.loaded if cache else 0,
-            cache_rejected=tuple(cache.rejected) if cache else (),
-            cache_stored=cache.stored if cache else 0,
-        )
-    else:
-        report = verify_range(args.n_max, policy, cache=cache)
+    report = verify_range(args.n_max, policy, cache=cache,
+                          on_index=_print_progress if args.verbose else None)
     if cache is not None:
         cache.write_file()
     if args.format == "structured":
@@ -263,22 +231,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     report = bound_chain(args.n, args.k)
     if args.format == "structured":
-        payload = {
-            "n": report.n,
-            "k": report.k,
-            "pomerance_rhs": report.pomerance_rhs,
-            "pomerance_rhs_digits": digits10(report.pomerance_rhs),
-            "ineq_a_holds": report.ineq_a_holds,
-            "ineq_b_holds": report.ineq_b_holds,
-            "two_power_exponent": report.two_power_exponent,
-            "two_power_targets": (
-                list(report.two_power_targets)
-                if report.two_power_targets else None
-            ),
-            "two_power_satisfiable": report.two_power_satisfiable,
-            "two_power_min_index": report.two_power_min_index,
-            "final_threshold": report.final_threshold,
-        }
+        payload = {**asdict(report),
+                   "pomerance_rhs_digits": digits10(report.pomerance_rhs)}
         sys.stdout.write(canonical_json(payload))
         return 0
     print(f"n={report.n} k={report.k}")

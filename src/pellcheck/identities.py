@@ -1,8 +1,10 @@
 """Executable Pell identities used by the verification harness.
 
-Everything here is re-verified numerically on each call rather than
-trusted: a wrong branch selection or index slip should surface as a failed
-check, not as a silently wrong downstream verdict.
+Each identity is written once here, as a predicate over the values
+p = P_n, q = Q_n, and every caller tests it through that predicate.
+Everything is re-verified numerically on each call rather than trusted: a
+wrong branch selection or index slip should surface as a failed check,
+not as a silently wrong downstream verdict.
 """
 
 from __future__ import annotations
@@ -13,10 +15,46 @@ from .arith import is_probable_prime, nu2
 from .sequences import pell_pair
 
 
+def pq_relation_holds(n: int, p: int, q: int) -> bool:
+    """Q_n**2 - 8*P_n**2 == 4*(-1)**n, in exact signed arithmetic."""
+    return q * q - 8 * p * p == (4 if n % 2 == 0 else -4)
+
+
+def nu2_lemma_holds(n: int, p: int, q: int) -> bool:
+    """nu2(Q_n) == 1 and nu2(P_n) == nu2(n), for n >= 1."""
+    return nu2(q) == 1 and nu2(p) == nu2(n)
+
+
+def split_indices(n: int) -> tuple[int, int]:
+    """(a, b) with P_n - 1 = P_a * Q_b for odd n >= 3, chosen by n mod 4."""
+    if n % 2 == 0:
+        raise ValueError("the P_n - 1 split is defined for odd n only")
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if n % 4 == 1:
+        return (n - 1) // 2, (n + 1) // 2
+    return (n + 1) // 2, (n - 1) // 2
+
+
+def split_product_holds(p_n: int, p_a: int, q_b: int) -> bool:
+    """P_n - 1 == P_a * Q_b for the values of the split's three terms."""
+    return p_a * q_b == p_n - 1
+
+
+def nu2_transfer_holds(n: int, p: int) -> bool:
+    """nu2(P_n - 1) == nu2(2a) for odd n >= 3 and the split index a.
+
+    2a = n - 1 when n = 1 (mod 4) and n + 1 when n = 3 (mod 4); the rule
+    follows from the split, nu2(P_a) = nu2(a) and nu2(Q_b) = 1.
+    """
+    a, _ = split_indices(n)
+    return nu2(p - 1) == nu2(2 * a)
+
+
 def check_pq_relation(n: int) -> bool:
-    """True iff Q_n**2 - 8*P_n**2 == 4*(-1)**n, in exact signed arithmetic."""
+    """True iff the companion relation holds at index n."""
     pair = pell_pair(n)
-    return pair.q**2 - 8 * pair.p**2 == (4 if n % 2 == 0 else -4)
+    return pq_relation_holds(n, pair.p, pair.q)
 
 
 @dataclass(frozen=True)
@@ -36,17 +74,10 @@ class PellMinusOneSplit:
 
 def split_pell_minus_one(n: int) -> PellMinusOneSplit:
     """Decompose P_n - 1 for odd n >= 3; the product is re-verified."""
-    if n % 2 == 0:
-        raise ValueError("the P_n - 1 split is defined for odd n only")
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n % 4 == 1:
-        p_index, q_index = (n - 1) // 2, (n + 1) // 2
-    else:
-        p_index, q_index = (n + 1) // 2, (n - 1) // 2
+    p_index, q_index = split_indices(n)
     p_part = pell_pair(p_index).p
     q_part = pell_pair(q_index).q
-    if p_part * q_part != pell_pair(n).p - 1:
+    if not split_product_holds(pell_pair(n).p, p_part, q_part):
         raise AssertionError(f"split of P_{n} - 1 failed to multiply back")
     return PellMinusOneSplit(
         n=n, p_index=p_index, q_index=q_index, p_part=p_part, q_part=q_part
@@ -58,7 +89,7 @@ def check_nu2_lemma(n: int) -> bool:
     if n < 1:
         raise ValueError("need n >= 1")
     pair = pell_pair(n)
-    return nu2(pair.q) == 1 and nu2(pair.p) == nu2(n)
+    return nu2_lemma_holds(n, pair.p, pair.q)
 
 
 def residue_mod4_of_factor(n: int, q: int) -> int:

@@ -16,10 +16,12 @@ import math
 import os
 import re
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .arith import (
     UNITS_PER_MS,
@@ -30,7 +32,9 @@ from .arith import (
     is_probable_prime,
     nu2,
 )
-from .identities import split_pell_minus_one
+from .identities import (nu2_lemma_holds, nu2_transfer_holds,
+                         pq_relation_holds, split_indices,
+                         split_pell_minus_one, split_product_holds)
 from .intervals import (
     Interval,
     certify,
@@ -40,7 +44,7 @@ from .intervals import (
     lnln_interval,
 )
 from .lehmer import LehmerReason, LehmerStatus, LehmerVerdict, lehmer_check
-from .sequences import digits10, pell_pair
+from .sequences import digits10, pell_lucas_sequence, pell_pair, pell_sequence
 
 #: Literature floor for the number of distinct prime factors of any Lehmer
 #: number.  A configuration constant, not something this package proves.
@@ -223,8 +227,9 @@ class FactorCache:
         <n> <prime>^<exp> ... cofactor=<c> complete=<0|1>
 
     Loading re-validates each record against P_n (product identity and
-    primality of every listed prime); records that fail are reported in
-    `rejected` and discarded, never used.
+    primality of every listed prime); records that fail, including lines
+    that are not UTF-8, are reported in `rejected` and discarded, never
+    used.  Writing replaces the file atomically.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -267,17 +272,20 @@ class FactorCache:
         complete_flag = tokens[-1][len("complete="):]
         if complete_flag not in ("0", "1"):
             raise ValueError("complete flag must be 0 or 1")
+        target = pell_pair(n).p
         factors = []
         for tok in tokens[1:-2]:
             m = _CACHE_FACTOR_RE.match(tok)
             if not m:
                 raise ValueError(f"bad factor token {tok!r}")
-            factors.append((int(m.group(1)), int(m.group(2))))
-        f = Factorization(
-            target=pell_pair(n).p,
-            factors=tuple(factors),
-            cofactor=cofactor,
-        )
+            p, e = int(m.group(1)), int(m.group(2))
+            # p**e >= 2**((bits(p)-1)*e), so this rejects every power too
+            # large to divide P_n before it is computed
+            if (p.bit_length() - 1) * e >= target.bit_length():
+                raise ValueError(f"{p}^{e} exceeds P_{n}")
+            factors.append((p, e))
+        f = Factorization(target=target, factors=tuple(factors),
+                          cofactor=cofactor)
         if (complete_flag == "1") != f.complete:
             raise ValueError("complete flag inconsistent with cofactor")
         for p, _ in f.factors:
@@ -286,19 +294,21 @@ class FactorCache:
         return n, f
 
     def read_file(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for lineno, raw in enumerate(data.splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                try:
-                    n, f = self._parse_line(line)
-                except (ValueError, OverflowError) as exc:
-                    self.rejected.append(f"line {lineno}: {exc}")
-                    continue
-                current = self.entries.get(n)
-                self.entries[n] = f if current is None else _better(f, current)
-                self.loaded += 1
+                n, f = self._parse_line(line)
+            except (ValueError, OverflowError) as exc:
+                # UnicodeDecodeError is a ValueError
+                self.rejected.append(f"line {lineno}: {exc}")
+                continue
+            current = self.entries.get(n)
+            self.entries[n] = f if current is None else _better(f, current)
+            self.loaded += 1
 
     def write_file(self, path: Optional[str] = None) -> None:
         path = path or self.path
@@ -312,16 +322,19 @@ class FactorCache:
             parts.append(f"cofactor={f.cofactor}")
             parts.append(f"complete={1 if f.complete else 0}")
             lines.append(" ".join(parts))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def cache_store(cache: FactorCache, n: int, f: Factorization) -> None:
-    cache.store(n, f)
-
-
-def cache_load(cache: FactorCache, n: int) -> Optional[Factorization]:
-    return cache.load(n)
+        # a temp file in the same directory, renamed over the old file, so
+        # that a failed or interrupted write leaves the old file intact
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), prefix=".pellcheck-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + ("\n" if lines else ""))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +423,10 @@ class VerifyContext:
         for d in _proper_divisors(n):
             seeds.update(self.pell_factors(d).primes())
         if n % 2 == 1 and n >= 3:
-            split = split_pell_minus_one(n)
+            p_index, q_index = split_indices(n)
             powers: dict[int, int] = {}
-            for p, e in self.pell_factors(split.p_index).factors:
-                powers[p] = powers.get(p, 0) + e
-            for p, e in self.q_factors(split.q_index).factors:
+            for p, e in (self.pell_factors(p_index).factors
+                         + self.q_factors(q_index).factors):
                 powers[p] = powers.get(p, 0) + e
             for d in _bounded_divisors(powers, _DIVISOR_CANDIDATE_CAP):
                 c = d + 1
@@ -468,12 +480,12 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
     t0 = time.perf_counter()
     pair = pell_pair(n)
 
-    pq_ok = pair.q**2 - 8 * pair.p**2 == (4 if n % 2 == 0 else -4)
-    nu2_ok = nu2(pair.q) == 1 and nu2(pair.p) == nu2(n)
+    pq_ok = pq_relation_holds(n, pair.p, pair.q)
+    nu2_ok = nu2_lemma_holds(n, pair.p, pair.q)
     split_ok: Optional[bool] = None
     if n % 2 == 1 and n >= 3:
-        split = split_pell_minus_one(n)  # raises if the product fails
-        split_ok = split.p_part * split.q_part == pair.p - 1
+        split_pell_minus_one(n)  # raises if the product fails
+        split_ok = True
 
     seed_units_before = context.seed_units
     if n % 2 == 1 and pair.p > 1:
@@ -748,25 +760,31 @@ def _index_from_dict(d: dict) -> IndexReport:
 
 def canonical_json(data: dict) -> str:
     """Deterministic JSON text: sorted keys, no whitespace, newline-ended."""
-    def encode():
+    with big_int_strings():
         return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-    return _with_big_int_strings(encode)
 
 
 def parse_json(text: str) -> dict:
     """json.loads that tolerates very large embedded integers."""
-    return _with_big_int_strings(lambda: json.loads(text))
+    with big_int_strings():
+        return json.loads(text)
 
 
-def _with_big_int_strings(fn):
-    # reports may legitimately carry integers with tens of thousands of
-    # digits (the exact K**(2**K) bound); lift the conversion guard
+@contextmanager
+def big_int_strings():
+    """Lift the int/str conversion limit inside the block, then restore it.
+
+    Reports and printed values legitimately carry integers with thousands
+    of digits (P_n itself, the exact K**(2**K) bound).  The caller's limit
+    is restored on exit, whatever it was.
+    """
     if not hasattr(sys, "get_int_max_str_digits"):
-        return fn()
+        yield
+        return
     limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        sys.set_int_max_str_digits(1_000_000)
-        return fn()
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -791,24 +809,31 @@ def _format_table(rows: list[dict[str, str]]) -> str:
 
 
 def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
-                 cache: Optional[FactorCache] = None) -> VerificationReport:
+                 cache: Optional[FactorCache] = None,
+                 on_index: Optional[Callable[[IndexReport], None]] = None,
+                 ) -> VerificationReport:
     """Run verify_index over 1..n_max and aggregate everything.
 
     The run reproduces the finite machine check exactly when every index
     comes back not_composite or rejected -- zero undecided, zero holds.
+    If given, on_index is called with each IndexReport as soon as its index
+    is done, in index order (the CLI's `verify -v` prints progress with
+    it); it does not affect the report.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.perf_counter()
     context = VerifyContext(policy, file_cache=cache)
-    reports = tuple(
-        verify_index(n, policy, context=context) for n in range(1, n_max + 1)
-    )
+    reports = []
+    for n in range(1, n_max + 1):
+        reports.append(verify_index(n, policy, context=context))
+        if on_index is not None:
+            on_index(reports[-1])
     return VerificationReport(
         schema=1,
         n_max=n_max,
         policy=policy,
-        indices=reports,
+        indices=tuple(reports),
         bounds=bounds_summary(),
         cache_path=cache.path if cache else None,
         cache_loaded=cache.loaded if cache else 0,
@@ -853,30 +878,23 @@ def run_identity_suite(n_max: int,
     failures: list[str] = []
     pq_ok = split_ok = valn_ok = transfer_ok = True
 
-    p_seq = [0, 1]
-    q_seq = [2, 2]
-    while len(p_seq) <= top:
-        p_seq.append(2 * p_seq[-1] + p_seq[-2])
-        q_seq.append(2 * q_seq[-1] + q_seq[-2])
+    ps = pell_sequence(top)
+    qs = pell_lucas_sequence(top)
 
     for n in range(0, n_max + 1):
-        if q_seq[n] ** 2 - 8 * p_seq[n] ** 2 != (4 if n % 2 == 0 else -4):
+        if not pq_relation_holds(n, ps[n], qs[n]):
             pq_ok = False
             failures.append(f"pq_relation fails at n={n}")
     for n in range(1, nu2_n_max + 1):
-        if not (nu2(q_seq[n]) == 1 and nu2(p_seq[n]) == nu2(n)):
+        if not nu2_lemma_holds(n, ps[n], qs[n]):
             valn_ok = False
             failures.append(f"nu2_lemma fails at n={n}")
     for n in range(3, n_max + 1, 2):
-        if n % 4 == 1:
-            a, b = (n - 1) // 2, (n + 1) // 2
-        else:
-            a, b = (n + 1) // 2, (n - 1) // 2
-        if p_seq[a] * q_seq[b] != p_seq[n] - 1:
+        a, b = split_indices(n)
+        if not split_product_holds(ps[n], ps[a], qs[b]):
             split_ok = False
             failures.append(f"split_product fails at n={n}")
-        eps = 1 if n % 4 == 1 else -1
-        if nu2(p_seq[n] - 1) != nu2(n - eps):
+        if not nu2_transfer_holds(n, ps[n]):
             transfer_ok = False
             failures.append(f"nu2_transfer fails at n={n}")
 

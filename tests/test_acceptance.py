@@ -6,6 +6,7 @@ determinism criterion needs two runs); both runs are shared across the
 criteria that inspect them.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -180,3 +181,16 @@ def test_criterion_7_determinism():
           and report_a == report_b
           and elapsed_b < 600.0)
     report_line(7, "two full runs byte-identical", ok, elapsed_a + elapsed_b)
+
+
+def test_criterion_8_pinned_report():
+    # the canonical report of the sweep to 200 under the default policy;
+    # a change that alters the report on purpose updates this pin
+    report, _ = full_run("a")
+    t0 = time.perf_counter()
+    text = report.to_json().encode("utf-8")
+    ok = (len(text) == 45983
+          and hashlib.sha256(text).hexdigest() == "f2a2887288f6f994338dd"
+          "ad326470a298e7eb8afcc7dde1ca92ba9d1c9731b8f")
+    report_line(8, "report to 200 matches the pinned 45,983 bytes",
+                ok, time.perf_counter() - t0)

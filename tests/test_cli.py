@@ -1,3 +1,4 @@
+import decimal
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from pellcheck.cli import main
+from pellcheck.sequences import pell_iterative
 from pellcheck.verifier import VerificationReport, parse_json
 
 
@@ -17,6 +19,17 @@ def run_cli(capsys, *argv):
 def test_pell(capsys):
     rc, out, _ = run_cli(capsys, "pell", "--n", "7")
     assert rc == 0 and out == "169\n"
+
+
+def test_pell_big_value_exact(capsys):
+    limit = sys.get_int_max_str_digits()
+    rc, out, _ = run_cli(capsys, "pell", "--n", "20000")
+    assert rc == 0
+    assert sys.get_int_max_str_digits() == limit  # the guard is restored
+    digits = out.strip()
+    assert len(digits) == 7656
+    # Decimal parses any length, so the check needs no lifted guard
+    assert int(decimal.Decimal(digits)) == pell_iterative(20000)
 
 
 def test_pell_pair(capsys):
@@ -103,6 +116,20 @@ def test_verify_structured_deterministic(capsys):
                            "--format", "structured")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_verify_verbose_progress(capsys):
+    rc, out, err = run_cli(capsys, "verify", "-v", "--n-max", "12",
+                           "--format", "structured")
+    rc_quiet, out_quiet, err_quiet = run_cli(capsys, "verify", "--n-max", "12",
+                                             "--format", "structured")
+    assert rc == rc_quiet == 0
+    assert out == out_quiet  # progress never reaches the report
+    assert err_quiet == ""
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"n={n}" for n in range(1, 13)]
+    assert lines[3].startswith("n=4: rejected/even (")
 
 
 def test_verify_starved_exits_1(capsys):

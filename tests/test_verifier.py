@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,6 @@ from pellcheck.verifier import (
     VerificationReport,
     VerifyContext,
     bound_chain,
-    cache_load,
-    cache_store,
     e8_enclosure,
     e8_threshold_check,
     final_inequality_holds,
@@ -100,7 +100,9 @@ def test_elapsed_excluded_from_equality():
 
 
 def test_verify_range_small():
-    report = verify_range(12, FAST)
+    seen = []
+    report = verify_range(12, FAST, on_index=seen.append)
+    assert tuple(seen) == report.indices  # one call per index, in order
     statuses = {r.n: r.verdict.status for r in report.indices}
     assert statuses[1] == LehmerStatus.NOT_COMPOSITE
     assert statuses[2] == LehmerStatus.NOT_COMPOSITE   # P_2 = 2 is prime
@@ -235,9 +237,9 @@ def test_cache_store_load_round_trip(tmp_path):
     path = tmp_path / "cache.txt"
     cache = FactorCache(str(path))
     f9 = factor(pell_pair(9).p, FAST)
-    cache_store(cache, 9, f9)
-    assert cache_load(cache, 9) == f9
-    assert cache_load(cache, 11) is None
+    cache.store(9, f9)
+    assert cache.load(9) == f9
+    assert cache.load(11) is None
     cache.write_file()
 
     reloaded = FactorCache(str(path))
@@ -273,6 +275,63 @@ def test_cache_rejects_corrupt_entries(tmp_path):
     assert cache.loaded == 1
     assert len(cache.rejected) == 4
     assert cache.load(9) == factor(pell_pair(9).p, FAST)
+
+
+def test_cache_rejects_non_utf8_line(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_bytes(b"9 5^1 197^1 cofactor=1 complete=1\n\xff\xfe garbage\n")
+    cache = FactorCache(str(path))
+    assert cache.loaded == 1
+    assert len(cache.rejected) == 1
+    assert cache.rejected[0].startswith("line 2: 'utf-8' codec")
+    assert cache.load(9) == factor(pell_pair(9).p, FAST)
+
+
+def test_cache_rejects_oversized_exponent(tmp_path):
+    # 5^30000000 would take seconds to build; the line must be rejected
+    # on the exponent alone, since 2^bits(P_9) already exceeds P_9
+    path = tmp_path / "cache.txt"
+    path.write_text("9 5^30000000 cofactor=1 complete=1\n"
+                    "9 5^1 197^1 cofactor=1 complete=1\n")
+    cache = FactorCache(str(path))
+    assert cache.loaded == 1
+    assert cache.rejected == ["line 1: 5^30000000 exceeds P_9"]
+
+
+def test_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "cache.txt"
+    cache = FactorCache(str(path))
+    cache.store(9, factor(pell_pair(9).p, FAST))
+    cache.write_file()
+    old = path.read_bytes()
+
+    cache.store(15, Factorization(target=pell_pair(15).p,
+                                  factors=((5, 2),), cofactor=7801))
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(
+        os, "fdopen", lambda fd, *a, **kw: FullDisk(real_fdopen(fd, *a, **kw)))
+    with pytest.raises(OSError):
+        cache.write_file()
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["cache.txt"]  # no temp file left behind
 
 
 def test_cache_store_validates_target():

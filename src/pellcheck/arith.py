@@ -9,8 +9,9 @@ across runs with the same seed.
 
 The splitting pipeline for a stubborn composite is, in order of cost:
 perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
-pow()), Brent-cycle rho, and a p-1 stage 2 prime walk.  Elliptic curves and
-sieve methods are deliberately out of scope.
+pow()), Brent-cycle rho, and p-1 stage 2, a baby-step/giant-step walk
+over the primes in (b1, b2] that costs one modular multiplication per
+prime.  Elliptic curves and sieve methods are deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, islice
 from typing import Callable, Iterator, Optional
 
 #: Work units charged per nominal millisecond of budget.  One unit is
@@ -43,15 +45,24 @@ class BudgetExhausted(Exception):
     """Internal signal: the work meter ran dry mid-factorization."""
 
 
+#: The stages that charge work units, in pipeline order.
+STAGES = ("trial", "pm1_stage1", "rho", "pm1_stage2")
+
+
 class WorkMeter:
-    """Deterministic budget accounting in work units."""
+    """Deterministic budget accounting in work units.
+
+    `used` is the total; `by_stage` splits it over STAGES.
+    """
 
     def __init__(self, total_units: int):
         self.total = total_units
         self.used = 0
+        self.by_stage = dict.fromkeys(STAGES, 0)
 
-    def charge(self, units: int) -> None:
+    def charge(self, units: int, stage: str) -> None:
         self.used += units
+        self.by_stage[stage] += units
         if self.used > self.total:
             raise BudgetExhausted
 
@@ -64,7 +75,8 @@ class FactorPolicy:
     rho_budget_ms per-attempt budget for one Brent-rho run (milliseconds)
     max_total_ms  overall budget for one factor() call (milliseconds)
     pm1_b1        Pollard p-1 stage-1 smoothness bound (0 disables p-1)
-    pm1_b2        Pollard p-1 stage-2 bound (0 disables stage 2)
+    pm1_b2        Pollard p-1 stage-2 bound: one multiplication per prime
+                  in (pm1_b1, pm1_b2] (0 disables stage 2)
     seed          root of all pseudo-random parameter choices
     """
 
@@ -119,7 +131,8 @@ class Factorization:
             prod *= p**e
         if prod != self.target:
             raise ValueError(
-                f"factorization does not multiply back to {self.target}"
+                "factorization does not multiply back to the "
+                f"{self.target.bit_length()}-bit target"
             )
 
     @property
@@ -215,15 +228,24 @@ def small_primes(bound: int) -> list[int]:
     return primes
 
 
-def _primes_in_segment(lo: int, hi: int, base: list[int]) -> Iterator[int]:
-    """Odd primes q with lo < q <= hi; base must hold all primes <= sqrt(hi)."""
+#: _segment_sieve clears at most this many flags per slice assignment, so
+#: it builds no temporary near the size of a whole segment.
+_SIEVE_RUN = 1 << 16
+
+
+def _segment_sieve(lo: int, hi: int, base: list[int]) -> tuple[int, bytearray]:
+    """Prime flags for the odd numbers start, start + 2, ... <= hi.
+
+    start is the least odd number above lo, and flags[i] is 1 exactly when
+    start + 2*i is prime (for lo >= 1).  base must hold all primes
+    <= sqrt(hi).
+    """
     start = lo + 1
     if start % 2 == 0:
         start += 1
-    if start > hi:
-        return
     count = (hi - start) // 2 + 1  # candidates start, start+2, ...
-    seg = bytearray(b"\x01") * count
+    flags = bytearray(b"\x01") * count
+    zeros = memoryview(bytes(_SIEVE_RUN))
     for p in base:
         if p == 2:
             continue
@@ -234,12 +256,10 @@ def _primes_in_segment(lo: int, hi: int, base: list[int]) -> Iterator[int]:
             first = p * p
         if first % 2 == 0:
             first += p
-        idx = (first - start) // 2
-        if idx < count:
-            seg[idx::p] = b"\x00" * len(range(idx, count, p))
-    for i in range(count):
-        if seg[i]:
-            yield start + 2 * i
+        for i in range((first - start) // 2, count, p * _SIEVE_RUN):
+            j = min(count, i + p * _SIEVE_RUN)
+            flags[i:j:p] = zeros[:len(range(i, j, p))]
+    return start, flags
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +310,7 @@ def _brent_rho(n: int, max_iters: int, rng: random.Random,
         for _ in range(r):
             y = (y * y + c) % n
         iters += r
-        meter.charge(r)
+        meter.charge(r, "rho")
         if iters > max_iters:
             return None
         k = 0
@@ -303,7 +323,7 @@ def _brent_rho(n: int, max_iters: int, rng: random.Random,
             g = math.gcd(q, n)
             k += m
             iters += steps
-            meter.charge(steps)
+            meter.charge(steps, "rho")
             if iters > max_iters:
                 return None
         r *= 2
@@ -348,7 +368,7 @@ def _pm1_stage1(n: int, b1: int,
         g = math.gcd(base, n)
         if 1 < g < n:
             return g, 0
-        meter.charge(exponent.bit_length() // 2 + 1)
+        meter.charge(exponent.bit_length() // 2 + 1, "pm1_stage1")
         h = pow(base, exponent, n)
         g = math.gcd(h - 1, n)
         if g == 1:
@@ -359,53 +379,76 @@ def _pm1_stage1(n: int, b1: int,
     return None, 0
 
 
+#: Stage 2 takes one gcd per segment of this length.
 _STAGE2_SEGMENT = 30_000_000
+
+#: Giant-step length of the stage-2 walk (2*3*5*7*11).
+_STAGE2_STEP = 2310
+
+
+def _stage2_blocks(n: int, h: int, odd_powers: list[int], start: int,
+                   flags: bytearray) -> Iterator[tuple[int, Iterator[int]]]:
+    """Group a segment's primes q by K, the least multiple of
+    D = _STAGE2_STEP with K >= q, and yield (h^K, the h^(K-q) of the
+    group's primes, in q order).
+
+    flags are _segment_sieve's flags for start, start + 2, ...;
+    odd_powers is h^(D-1), h^(D-3), ..., h^1, which is h^(K-q) for the odd
+    q = K-D+1, ..., K-1 of a block in turn.
+    """
+    step = _STAGE2_STEP
+    k = -(-start // step) * step
+    h_k = pow(h, k, n)
+    h_step = odd_powers[0] * h % n
+    i = 0
+    while i < len(flags):
+        r = k - start - 2 * i  # K - q for the block's first candidate q
+        j = i + (r + 1) // 2
+        yield h_k, compress(islice(odd_powers, (step - 1 - r) // 2, None),
+                            flags[i:j])
+        i = j
+        k += step
+        h_k = h_k * h_step % n
 
 
 def _pm1_stage2(n: int, h: int, b1: int, b2: int,
                 meter: WorkMeter) -> Optional[int]:
-    """Pollard p-1 stage 2: walk the primes in (b1, b2] via gap powers."""
+    """Pollard p-1 stage 2 over the primes q in (b1, b2], segment by segment.
+
+    Each prime costs one multiplication: acc *= h^K - h^(K-q), with K the
+    least multiple of _STAGE2_STEP at or above q.  That term is
+    h^(K-q) * (h^q - 1), and h is a unit mod n (stage 1 passes on only
+    powers of a base prime to n), so every segment's gcd(acc, n) is the
+    gcd of the plain product of the h^q - 1.
+    """
     base = small_primes(math.isqrt(b2) + 1)
     h2 = h * h % n
-    gap_powers = {2: h2}
-    max_gap = 2
-
-    def advance(cur: int, prev: int, q: int) -> int:
-        nonlocal max_gap
-        if prev == 0:
-            return pow(h, q, n)
-        gap = q - prev
-        while max_gap < gap:
-            max_gap += 2
-            gap_powers[max_gap] = gap_powers[max_gap - 2] * h2 % n
-        return cur * gap_powers[gap] % n
-
-    lo, prev_prime, cur = b1, 0, 0
+    odd_powers = [h]
+    for _ in range(_STAGE2_STEP // 2 - 1):
+        odd_powers.append(odd_powers[-1] * h2 % n)
+    odd_powers.reverse()
+    lo = b1
     while lo < b2:
         hi = min(lo + _STAGE2_SEGMENT, b2)
-        seg_state = (prev_prime, cur)
+        start, flags = _segment_sieve(lo, hi, base)
         acc = 1
-        seg_count = 0
-        for q in _primes_in_segment(lo, hi, base):
-            cur = advance(cur, prev_prime, q)
-            prev_prime = q
-            acc = acc * (cur - 1) % n
-            seg_count += 1
-        meter.charge(3 * seg_count + 1000)
+        for h_k, lows in _stage2_blocks(n, h, odd_powers, start, flags):
+            for low in lows:
+                acc = acc * (h_k - low) % n
+        meter.charge(3 * flags.count(1) + 1000, "pm1_stage2")
         g = math.gcd(acc, n)
         if 1 < g < n:
             return g
         if g == n:
             # several hits inside one segment; replay it prime by prime
-            prev_prime, cur = seg_state
-            for q in _primes_in_segment(lo, hi, base):
-                cur = advance(cur, prev_prime, q)
-                prev_prime = q
-                g = math.gcd(cur - 1, n)
-                if 1 < g < n:
-                    return g
+            for h_k, lows in _stage2_blocks(n, h, odd_powers, start, flags):
+                for low in lows:
+                    g = math.gcd(h_k - low, n)
+                    if 1 < g < n:
+                        return g
             return None
         lo = hi
+        del flags  # one segment's sieve in memory at a time
     return None
 
 
@@ -488,7 +531,7 @@ def factor(n: int, policy: FactorPolicy = FactorPolicy(), *,
     if not stopped and remaining > 1:
         bound = policy.trial_bound
         try:
-            meter.charge(len(small_primes(bound)) // 8 + 1)
+            meter.charge(len(small_primes(bound)) // 8 + 1, "trial")
         except BudgetExhausted:
             budget_dead = True
         if not budget_dead:

@@ -209,9 +209,16 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     return 0 if result.all_ok else 1
 
 
+def _stage_units(units: dict[str, int]) -> str:
+    """The stages that did any work, as `[stage=units ...]`."""
+    return "[" + " ".join(f"{stage}={u}" for stage, u in units.items()
+                          if u) + "]"
+
+
 def _print_progress(r) -> None:
     print(f"n={r.n}: {r.verdict.status.value}/{r.verdict.reason.value} "
-          f"({r.elapsed_ms:.0f} ms)", file=sys.stderr)
+          f"({r.elapsed_ms:.0f} ms) seed{_stage_units(r.seed_stage_units)} "
+          f"decide{_stage_units(r.decide_stage_units)}", file=sys.stderr)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .arith import (
+    STAGES,
     UNITS_PER_MS,
     FactorPolicy,
     Factorization,
@@ -272,18 +273,26 @@ class FactorCache:
         complete_flag = tokens[-1][len("complete="):]
         if complete_flag not in ("0", "1"):
             raise ValueError("complete flag must be 0 or 1")
-        target = pell_pair(n).p
+        # Sizes are checked before P_n is computed, against
+        # 2**(n-1) <= P_n < (1 + sqrt 2)**n < 2**(1.2716 n)
+        # (P_1 = 1 and P_{k+1} >= 2 P_k).
         factors = []
         for tok in tokens[1:-2]:
             m = _CACHE_FACTOR_RE.match(tok)
             if not m:
                 raise ValueError(f"bad factor token {tok!r}")
             p, e = int(m.group(1)), int(m.group(2))
-            # p**e >= 2**((bits(p)-1)*e), so this rejects every power too
-            # large to divide P_n before it is computed
-            if (p.bit_length() - 1) * e >= target.bit_length():
+            # p**e >= 2**((bits(p)-1)*e): no power is built that is too
+            # large to divide P_n
+            if 10_000 * (p.bit_length() - 1) * e >= 12_716 * n:
                 raise ValueError(f"{p}^{e} exceeds P_{n}")
             factors.append((p, e))
+        bits = cofactor.bit_length() + sum(p.bit_length() * e
+                                           for p, e in factors)
+        if bits < n:
+            raise ValueError(f"product below 2^{bits} is less than "
+                             f"P_{n} >= 2^{n - 1}")
+        target = pell_pair(n).p
         f = Factorization(target=target, factors=tuple(factors),
                           cofactor=cofactor)
         if (complete_flag == "1") != f.complete:
@@ -373,12 +382,14 @@ class VerifyContext:
         self.file_cache = file_cache
         self.pell_known: dict[int, Factorization] = {}
         self.q_known: dict[int, Factorization] = {}
-        self.seed_units = 0
+        #: work units spent on seeding so far, per stage
+        self.seed_units = dict.fromkeys(STAGES, 0)
 
     def _budgeted_factor(self, value: int) -> Factorization:
         meter = WorkMeter(self.seed_policy.max_total_ms * UNITS_PER_MS)
         result = factor(value, self.seed_policy, meter=meter)
-        self.seed_units += meter.used
+        for stage, units in meter.by_stage.items():
+            self.seed_units[stage] += units
         return result
 
     def pell_factors(self, idx: int) -> Factorization:
@@ -459,6 +470,12 @@ class IndexReport:
     factors_found: tuple[tuple[int, int, int], ...]  # (prime, exp, mod 4)
     work_units: int
     elapsed_ms: float = field(compare=False, default=0.0)
+    # work_units split by stage, for seeding and for deciding; kept out of
+    # the canonical report
+    seed_stage_units: dict[str, int] = field(compare=False,
+                                             default_factory=dict)
+    decide_stage_units: dict[str, int] = field(compare=False,
+                                               default_factory=dict)
 
     @property
     def identities_ok(self) -> bool:
@@ -487,7 +504,7 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
         split_pell_minus_one(n)  # raises if the product fails
         split_ok = True
 
-    seed_units_before = context.seed_units
+    seed_units_before = dict(context.seed_units)
     if n % 2 == 1 and pair.p > 1:
         seeds = context.seeds_for(n, pair.p)
     else:
@@ -495,6 +512,8 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
     meter = WorkMeter(policy.max_total_ms * UNITS_PER_MS)
     verdict = lehmer_check(pair.p, policy, seeds=seeds, meter=meter)
     context.remember(n, verdict)
+    seed_units = {stage: units - seed_units_before[stage]
+                  for stage, units in context.seed_units.items()}
 
     factors: tuple[tuple[int, int, int], ...] = ()
     if verdict.factorization is not None:
@@ -509,8 +528,10 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
         nu2_lemma_ok=nu2_ok,
         split_product_ok=split_ok,
         factors_found=factors,
-        work_units=meter.used + (context.seed_units - seed_units_before),
+        work_units=meter.used + sum(seed_units.values()),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        seed_stage_units=seed_units,
+        decide_stage_units=dict(meter.by_stage),
     )
 
 

@@ -1,12 +1,16 @@
 import math
+from itertools import compress
 
 import pytest
 
+from pellcheck import arith
 from pellcheck.arith import (
+    STAGES,
     FactorPolicy,
     Factorization,
     Squarefree,
     TINY_POLICY,
+    WorkMeter,
     euler_phi,
     factor,
     is_probable_prime,
@@ -184,6 +188,100 @@ def test_factor_pm1_stage1_path():
     assert (p, 1) in f.factors
 
 
+def test_factor_stage_units_sum_to_used():
+    # trial division, then p-1 stage 1 finds 118328383378321 and rho
+    # splits the rest
+    n = 1000000007 * 1000000009 * 118328383378321
+    meter = WorkMeter(10**9)
+    factor(n, FactorPolicy(trial_bound=1000, rho_budget_ms=10,
+                           pm1_b1=10**4, pm1_b2=10**5), meter=meter)
+    assert set(meter.by_stage) == set(STAGES)
+    assert sum(meter.by_stage.values()) == meter.used
+    assert all(meter.by_stage[s] > 0 for s in ("trial", "pm1_stage1", "rho"))
+
+
+# ---------------------------------------------------------------------------
+# p-1 stage 2 and its segment sieve
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (100, 3100),    # even lo
+    (101, 3100),    # odd lo
+    (2, 60),        # holds the base primes 3, 5, 7 themselves
+    (1008, 1009),   # one candidate, prime
+    (1000, 1001),   # one candidate, 7 * 11 * 13
+    (1000, 1000),   # empty
+    (1001, 1002),   # empty, odd lo
+])
+@pytest.mark.parametrize("run", [4, arith._SIEVE_RUN])
+def test_segment_sieve_matches_naive_sieve(monkeypatch, lo, hi, run):
+    monkeypatch.setattr(arith, "_SIEVE_RUN", run)  # 4: many short runs
+    start, flags = arith._segment_sieve(lo, hi,
+                                        small_primes(math.isqrt(hi) + 1))
+    is_prime = sieve_is_prime(hi)
+    assert list(compress(range(start, hi + 1, 2), flags)) == [
+        q for q in range(lo + 1, hi + 1) if q % 2 and is_prime[q]]
+
+
+def reference_stage2(n, h, b1, b2, segment):
+    """Plain p-1 stage 2: per segment, gcd(prod(h^q - 1), n) over the odd
+    primes q in it, then a prime-by-prime replay if that gcd is n.
+    Returns (divisor or None, work units charged)."""
+    is_prime = sieve_is_prime(b2)
+    units = 0
+    lo = b1
+    while lo < b2:
+        hi = min(lo + segment, b2)
+        primes = [q for q in range(lo + 1, hi + 1) if q % 2 and is_prime[q]]
+        acc = 1
+        for q in primes:
+            acc = acc * (pow(h, q, n) - 1) % n
+        units += 3 * len(primes) + 1000
+        g = math.gcd(acc, n)
+        if 1 < g < n:
+            return g, units
+        if g == n:
+            for q in primes:
+                g = math.gcd(pow(h, q, n) - 1, n)
+                if 1 < g < n:
+                    return g, units
+            return None, units
+        lo = hi
+    return None, units
+
+
+# p - 1 = (prime powers <= 100) * q
+P_12011 = 30600 * 12011 + 1     # 30600 = 2^3 3^2 5^2 17
+P_12011_B = 31008 * 12011 + 1   # 31008 = 2^5 3 17 19
+P_9137 = 30576 * 9137 + 1       # 30576 = 2^4 3 7^2 13
+P_9161 = 30590 * 9161 + 1       # 30590 = 2 5 7 19 23
+R_1000003 = 30360 * 1000003 + 1     # q beyond every b2 below
+R_1000033 = 31920 * 1000033 + 1
+
+
+@pytest.mark.parametrize("n,b1,expected", [
+    (P_12011 * R_1000003, 100, P_12011),     # one hit
+    (P_9137 * P_9161, 100, P_9137),          # two hits in one segment
+    (P_12011 * P_12011_B, 100, None),        # two hits at the same prime
+    (R_1000003 * R_1000033, 100, None),      # no hit: the full walk
+    (7 * R_1000003, 2, 7),                   # q = 3 divides the step
+])
+@pytest.mark.parametrize("segment", [3000, 30_000_000])
+def test_pm1_stage2_matches_reference(monkeypatch, n, b1, expected,
+                                      segment):
+    for p in (P_12011, P_12011_B, P_9137, P_9161, R_1000003, R_1000033):
+        assert is_probable_prime(p)
+    b2 = 20_000
+    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", segment)
+    g, h = arith._pm1_stage1(n, b1, WorkMeter(10**9))
+    assert g is None and h
+    meter = WorkMeter(10**9)
+    found = arith._pm1_stage2(n, h, b1, b2, meter)
+    assert (found, meter.used) == reference_stage2(n, h, b1, b2, segment)
+    assert found == expected
+    assert meter.by_stage["pm1_stage2"] == meter.used
+
+
 # ---------------------------------------------------------------------------
 # totient / omega / valuations / squarefree
 
@@ -258,6 +356,9 @@ def test_is_squarefree_tristate():
 def test_factorization_validates_product():
     with pytest.raises(ValueError):
         Factorization(target=985, factors=((5, 1), (196, 1)))
+    # the message gives the target's size, not its digits
+    with pytest.raises(ValueError, match=r"the 14001-bit target$"):
+        Factorization(target=2**14000 + 1, factors=((2, 1),))
     with pytest.raises(ValueError):
         Factorization(target=12, factors=((3, 1), (2, 2)))  # not ascending
     with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 import errno
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
 
-from pellcheck.arith import FactorPolicy, Factorization, factor
+from pellcheck.arith import STAGES, FactorPolicy, Factorization, factor
 from pellcheck.lehmer import LehmerReason, LehmerStatus
 from pellcheck.sequences import digits10, pell_pair, pell_sequence
 from pellcheck.verifier import (
@@ -115,6 +116,22 @@ def test_verify_range_small():
     assert report.reproduced
     assert report.bounds.final_threshold == 21
     assert report.bounds.omega_floor == 15
+
+
+def test_verify_range_stage_units_sum_to_work_units():
+    report = verify_range(60, FAST)
+    for r in report.indices:
+        assert tuple(r.seed_stage_units) == STAGES
+        assert tuple(r.decide_stage_units) == STAGES
+        assert (sum(r.seed_stage_units.values())
+                + sum(r.decide_stage_units.values())) == r.work_units, r.n
+    # P_43 is decided by p-1 stage 1 after seeding by trial division only
+    r43 = report.indices[42]
+    assert r43.decide_stage_units["pm1_stage1"] > 0
+    assert r43.seed_stage_units["pm1_stage1"] == 0
+    # the split is kept out of the canonical report
+    assert "stage" not in report.to_json()
+    assert VerificationReport.from_json(report.to_json()) == report
 
 
 def test_verify_range_rejects_zero():
@@ -296,6 +313,45 @@ def test_cache_rejects_oversized_exponent(tmp_path):
     cache = FactorCache(str(path))
     assert cache.loaded == 1
     assert cache.rejected == ["line 1: 5^30000000 exceeds P_9"]
+
+
+@pytest.mark.parametrize("n", [20000, 3000000])
+def test_cache_rejects_short_line_for_large_index_quickly(tmp_path, n):
+    # P_n has at least n - 1 bits, so a 3-bit product is refused before
+    # P_n is built (computing P_3000000 alone takes about half a second)
+    path = tmp_path / "cache.txt"
+    path.write_text(f"{n} 2^1 cofactor=1 complete=1\n")
+    t0 = time.perf_counter()
+    cache = FactorCache(str(path))
+    assert time.perf_counter() - t0 < 0.1
+    assert cache.loaded == 0
+    assert cache.rejected == [
+        f"line 1: product below 2^3 is less than P_{n} >= 2^{n - 1}"]
+
+
+def test_cache_rejects_oversized_exponent_for_large_index_quickly(tmp_path):
+    # P_20000000 < 2^25432000 < 2^30000000, so the line is refused before
+    # P_20000000 (ten seconds of work) is built
+    path = tmp_path / "cache.txt"
+    path.write_text("20000000 2^30000000 cofactor=1 complete=1\n")
+    t0 = time.perf_counter()
+    cache = FactorCache(str(path))
+    assert time.perf_counter() - t0 < 0.1
+    assert cache.rejected == ["line 1: 2^30000000 exceeds P_20000000"]
+
+
+def test_cache_product_mismatch_names_size_not_digits(tmp_path):
+    # P_6000 has 2,297 digits; the reason must not print them
+    f = factor(pell_pair(6000).p, FAST, on_prime=lambda p, e: p > 100)
+    wrong = f.cofactor + 2
+    path = tmp_path / "cache.txt"
+    path.write_text(" ".join(["6000"] + [f"{p}^{e}" for p, e in f.factors]
+                             + [f"cofactor={wrong}", "complete=0"]) + "\n")
+    cache = FactorCache(str(path))
+    bits = pell_pair(6000).p.bit_length()
+    assert cache.rejected == [
+        f"line 1: factorization does not multiply back to the {bits}-bit "
+        "target"]
 
 
 def test_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):

@@ -11,13 +11,19 @@ The splitting pipeline for a stubborn composite is, in order of cost:
 perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
 pow()), Brent-cycle rho, and p-1 stage 2, a baby-step/giant-step walk
 over the primes in (b1, b2] that costs one modular multiplication per
-prime.  Elliptic curves and sieve methods are deliberately out of scope.
+prime.  Stage 2 walks its segments on a fork pool with one worker per
+available CPU and consumes their outcomes in segment order, so its
+result and its work units are those of a serial walk; there is no
+setting for the worker count.  Elliptic curves and sieve methods are
+deliberately out of scope.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -411,44 +417,97 @@ def _stage2_blocks(n: int, h: int, odd_powers: list[int], start: int,
         h_k = h_k * h_step % n
 
 
-def _pm1_stage2(n: int, h: int, b1: int, b2: int,
-                meter: WorkMeter) -> Optional[int]:
-    """Pollard p-1 stage 2 over the primes q in (b1, b2], segment by segment.
+def _stage2_segment(n: int, h: int, b2: int,
+                    bounds: tuple[int, int]) -> tuple[int, Optional[int]]:
+    """Walk the primes q in one stage-2 segment (lo, hi] and take its gcd.
 
     Each prime costs one multiplication: acc *= h^K - h^(K-q), with K the
     least multiple of _STAGE2_STEP at or above q.  That term is
     h^(K-q) * (h^q - 1), and h is a unit mod n (stage 1 passes on only
-    powers of a base prime to n), so every segment's gcd(acc, n) is the
-    gcd of the plain product of the h^q - 1.
+    powers of a base prime to n), so gcd(acc, n) is the gcd of the plain
+    product of the h^q - 1.
+
+    Returns (number of primes, outcome), where outcome is 1 when the
+    segment finds nothing, a proper divisor of n, or None when the gcd is
+    n and the prime-by-prime replay finds no proper divisor either.
     """
-    base = small_primes(math.isqrt(b2) + 1)
+    lo, hi = bounds
     h2 = h * h % n
     odd_powers = [h]
     for _ in range(_STAGE2_STEP // 2 - 1):
         odd_powers.append(odd_powers[-1] * h2 % n)
     odd_powers.reverse()
-    lo = b1
-    while lo < b2:
-        hi = min(lo + _STAGE2_SEGMENT, b2)
-        start, flags = _segment_sieve(lo, hi, base)
-        acc = 1
-        for h_k, lows in _stage2_blocks(n, h, odd_powers, start, flags):
-            for low in lows:
-                acc = acc * (h_k - low) % n
-        meter.charge(3 * flags.count(1) + 1000, "pm1_stage2")
-        g = math.gcd(acc, n)
-        if 1 < g < n:
-            return g
-        if g == n:
-            # several hits inside one segment; replay it prime by prime
-            for h_k, lows in _stage2_blocks(n, h, odd_powers, start, flags):
-                for low in lows:
-                    g = math.gcd(h_k - low, n)
-                    if 1 < g < n:
-                        return g
-            return None
-        lo = hi
-        del flags  # one segment's sieve in memory at a time
+    start, flags = _segment_sieve(lo, hi, small_primes(math.isqrt(b2) + 1))
+    acc = 1
+    for h_k, lows in _stage2_blocks(n, h, odd_powers, start, flags):
+        for low in lows:
+            acc = acc * (h_k - low) % n
+    primes = flags.count(1)
+    g = math.gcd(acc, n)
+    if g < n:
+        return primes, g
+    # several hits inside one segment; replay it prime by prime
+    for h_k, lows in _stage2_blocks(n, h, odd_powers, start, flags):
+        for low in lows:
+            g = math.gcd(h_k - low, n)
+            if 1 < g < n:
+                return primes, g
+    return primes, None
+
+
+def _stage2_workers() -> int:
+    """How many processes may walk stage-2 segments at once: the CPUs this
+    process may run on, or 1 where it cannot fork pool workers (a daemonic
+    process may not have children; some platforms lack fork)."""
+    import multiprocessing
+
+    if (multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pm1_stage2(n: int, h: int, b1: int, b2: int,
+                meter: WorkMeter) -> Optional[int]:
+    """Pollard p-1 stage 2 over the primes q in (b1, b2], segment by segment.
+
+    The segments run on a fork pool of one worker per available CPU (or
+    in this process, with one CPU or one segment), and their outcomes are
+    consumed strictly in segment order: each is charged
+    3 * primes + 1000 units, and the first that is not 1 is the result.
+    The divisor, the units charged and the point where BudgetExhausted is
+    raised are therefore those of a serial walk.  The pool is terminated
+    on every exit, so no worker outlives the call.  It forks rather than
+    spawns: spawn re-runs the caller's __main__ in every worker, which
+    recurses in a script that has no __main__ guard.
+    """
+    segments = [(lo, min(lo + _STAGE2_SEGMENT, b2))
+                for lo in range(b1, b2, _STAGE2_SEGMENT)]
+    walk = functools.partial(_stage2_segment, n, h, b2)
+    workers = min(_stage2_workers(), len(segments))
+    pool = None
+    if workers > 1:
+        import multiprocessing
+        import signal
+
+        # the workers ignore Ctrl-C: this process terminates them
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        outcomes = (pool.imap(walk, segments, chunksize=1) if pool
+                    else map(walk, segments))
+        for primes, outcome in outcomes:
+            meter.charge(3 * primes + 1000, "pm1_stage2")
+            if outcome != 1:
+                return outcome
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
     return None
 
 

@@ -34,14 +34,18 @@ class PellPair:
     q: int
 
 
-def pell_pair(n: int) -> PellPair:
-    """Compute (P_n, Q_n) exactly with O(log n) big-integer multiplications.
+def _ladder(n: int, modulus: int = 0) -> tuple[int, int]:
+    """(P_n, Q_n) by the doubling ladder, exactly when modulus is 0 and
+    reduced mod the odd modulus otherwise.
 
     Walks the bits of n from the most significant end, doubling the current
     index and advancing by one where a bit is set.  Index 0 gives (0, 2).
+    Mod an odd modulus, Q_m // 2 becomes Q_m * (modulus + 1) / 2, since
+    (modulus + 1) / 2 is the inverse of 2.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
+    half = (modulus + 1) // 2
     p, q = 0, 2
     m = 0
     for shift in range(n.bit_length() - 1, -1, -1):
@@ -49,9 +53,24 @@ def pell_pair(n: int) -> PellPair:
         p, q = p * q, q * q - (2 if m % 2 == 0 else -2)
         m *= 2
         if (n >> shift) & 1:
-            p, q = p + q // 2, q + 4 * p
+            p, q = p + (q * half if modulus else q // 2), q + 4 * p
             m += 1
+        if modulus:
+            p, q = p % modulus, q % modulus
+    return p, q
+
+
+def pell_pair(n: int) -> PellPair:
+    """Compute (P_n, Q_n) exactly with O(log n) big-integer multiplications."""
+    p, q = _ladder(n)
     return PellPair(n=n, p=p, q=q)
+
+
+def pell_residue(n: int, modulus: int) -> int:
+    """P_n mod the odd modulus >= 3, in O(log n) steps of modulus size."""
+    if modulus < 3 or modulus % 2 == 0:
+        raise ValueError("modulus must be odd and >= 3")
+    return _ladder(n, modulus)[0]
 
 
 def pell(n: int) -> int:

@@ -45,7 +45,8 @@ from .intervals import (
     lnln_interval,
 )
 from .lehmer import LehmerReason, LehmerStatus, LehmerVerdict, lehmer_check
-from .sequences import digits10, pell_lucas_sequence, pell_pair, pell_sequence
+from .sequences import (digits10, pell_lucas_sequence, pell_pair,
+                        pell_residue, pell_sequence)
 
 #: Literature floor for the number of distinct prime factors of any Lehmer
 #: number.  A configuration constant, not something this package proves.
@@ -90,11 +91,16 @@ def _ineq_b_decide(n: int, k: int):
     return decide
 
 
-def _final_inequality_decide(n: int):
-    """n**2 < 16 (n+1) (ln ln n)**2."""
+def _final_inequality_decide(a: int, b: int):
+    """a**2 < 16 (a+1) (ln ln b)**2; with a == b, the final inequality at a.
+
+    n**2/(n+1) and (ln ln n)**2 both increase for n >= 16, so a False
+    verdict for a <= b proves that the final inequality fails for every n
+    in [a, b].
+    """
     def decide(bits: int):
-        rhs = lnln_interval(n, bits).squared() * (16 * (n + 1))
-        return rhs.gt(n * n)
+        rhs = lnln_interval(b, bits).squared() * (16 * (a + 1))
+        return rhs.gt(a * a)
     return decide
 
 
@@ -102,8 +108,12 @@ def final_inequality_holds(n: int) -> bool:
     """Certified check of n**2 < 16 (n+1) (ln ln n)**2 for n >= 16."""
     if n < 16:
         raise ValueError("needs n >= 16 so that ln ln n is safely positive")
-    return certify(_final_inequality_decide(n))
+    return certify(_final_inequality_decide(n, n))
 
+
+#: final_threshold checks n = 16 .. _THRESHOLD_SCAN - 1 one at a time and
+#: proves failure on the rest of the window block by block.
+_THRESHOLD_SCAN = 70
 
 _final_threshold_cache: Optional[int] = None
 
@@ -111,16 +121,19 @@ _final_threshold_cache: Optional[int] = None
 def final_threshold() -> int:
     """One more than the largest n >= 16 satisfying the final inequality.
 
-    The whole window [16, 3000) is scanned with certified comparisons; the
-    satisfying set is verified to be an initial contiguous block.  Indices
-    beyond the window are irrelevant because the surrounding argument has
-    already forced n below e**8 < 3000 when this inequality is applied.
+    n = 16 .. _THRESHOLD_SCAN - 1 are certified one at a time, and the
+    satisfying ones are verified to be an initial contiguous block that
+    ends inside that range.  Failure on [_THRESHOLD_SCAN, 3000) is proved
+    with block comparisons (see _final_inequality_decide), bisecting any
+    block that does not certify.  Indices beyond the window are irrelevant
+    because the surrounding argument has already forced n below
+    e**8 < 3000 when this inequality is applied.
     """
     global _final_threshold_cache
     if _final_threshold_cache is not None:
         return _final_threshold_cache
     largest = None
-    for n in range(16, _THRESHOLD_WINDOW):
+    for n in range(16, _THRESHOLD_SCAN):
         if final_inequality_holds(n):
             if largest is not None and n != largest + 1:
                 raise AssertionError(f"satisfying set not contiguous at {n}")
@@ -129,6 +142,17 @@ def final_threshold() -> int:
             largest = n
     if largest is None:
         raise AssertionError("final inequality never holds in the window")
+    if largest == _THRESHOLD_SCAN - 1:
+        raise AssertionError("final inequality still holds at the end of "
+                             "the individually checked range")
+    blocks = [(_THRESHOLD_SCAN, _THRESHOLD_WINDOW - 1)]
+    while blocks:
+        a, b = blocks.pop()
+        if certify(_final_inequality_decide(a, b)):
+            if a == b:
+                raise AssertionError(f"satisfying set not contiguous at {a}")
+            mid = (a + b) // 2
+            blocks += [(mid + 1, b), (a, mid)]
     _final_threshold_cache = largest + 1
     return _final_threshold_cache
 
@@ -220,6 +244,11 @@ def _better(a: Factorization, b: Factorization) -> Factorization:
     return a if len(a.factors) >= len(b.factors) else b
 
 
+#: FactorCache checks each line's product against P_n modulo this prime
+#: (the Mersenne prime 2**61 - 1) before building P_n.
+_CACHE_CHECK_MODULUS = (1 << 61) - 1
+
+
 class FactorCache:
     """Validated factor evidence for Pell indices, persisted line-by-line.
 
@@ -227,7 +256,8 @@ class FactorCache:
 
         <n> <prime>^<exp> ... cofactor=<c> complete=<0|1>
 
-    Loading re-validates each record against P_n (product identity and
+    Loading re-validates each record against P_n (sizes and the product
+    mod a 61-bit prime first, then the exact product identity and the
     primality of every listed prime); records that fail, including lines
     that are not UTF-8, are reported in `rejected` and discarded, never
     used.  Writing replaces the file atomically.
@@ -292,6 +322,14 @@ class FactorCache:
         if bits < n:
             raise ValueError(f"product below 2^{bits} is less than "
                              f"P_{n} >= 2^{n - 1}")
+        # a product that differs from P_n mod a 61-bit prime is refused
+        # before P_n itself is built
+        mod = _CACHE_CHECK_MODULUS
+        residue = cofactor % mod
+        for p, e in factors:
+            residue = residue * pow(p, e, mod) % mod
+        if residue != pell_residue(n, mod):
+            raise ValueError(f"product differs from P_{n} mod 2^61 - 1")
         target = pell_pair(n).p
         f = Factorization(target=target, factors=tuple(factors),
                           cofactor=cofactor)

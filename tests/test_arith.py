@@ -1,11 +1,17 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from itertools import compress
 
 import pytest
 
+import pellcheck
 from pellcheck import arith
 from pellcheck.arith import (
     STAGES,
+    BudgetExhausted,
     FactorPolicy,
     Factorization,
     Squarefree,
@@ -275,11 +281,61 @@ def test_pm1_stage2_matches_reference(monkeypatch, n, b1, expected,
     monkeypatch.setattr(arith, "_STAGE2_SEGMENT", segment)
     g, h = arith._pm1_stage1(n, b1, WorkMeter(10**9))
     assert g is None and h
-    meter = WorkMeter(10**9)
-    found = arith._pm1_stage2(n, h, b1, b2, meter)
-    assert (found, meter.used) == reference_stage2(n, h, b1, b2, segment)
-    assert found == expected
-    assert meter.by_stage["pm1_stage2"] == meter.used
+    reference = reference_stage2(n, h, b1, b2, segment)
+    # one worker walks in this process; two fork a pool once there are
+    # several segments
+    for workers in (1, 2):
+        monkeypatch.setattr(arith, "_stage2_workers", lambda: workers)
+        meter = WorkMeter(10**9)
+        found = arith._pm1_stage2(n, h, b1, b2, meter)
+        assert (found, meter.used) == reference
+        assert found == expected
+        assert meter.by_stage == {**dict.fromkeys(STAGES, 0),
+                                  "pm1_stage2": meter.used}
+        assert multiprocessing.active_children() == []
+
+
+def test_pm1_stage2_budget_exhausted_mid_walk(monkeypatch):
+    n = R_1000003 * R_1000033  # no hit: the walk would run to b2
+    b1, b2, segment = 100, 20_000, 3000
+    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", segment)
+    _, h = arith._pm1_stage1(n, b1, WorkMeter(10**9))
+    full = reference_stage2(n, h, b1, b2, segment)[1]
+    used = set()
+    for workers in (1, 2):
+        monkeypatch.setattr(arith, "_stage2_workers", lambda: workers)
+        meter = WorkMeter(full // 2)
+        with pytest.raises(BudgetExhausted):
+            arith._pm1_stage2(n, h, b1, b2, meter)
+        assert full // 2 < meter.used < full
+        used.add(meter.used)
+        assert multiprocessing.active_children() == []
+    assert len(used) == 1
+
+
+def _stage2_hit(_):
+    n = P_12011 * R_1000003
+    _, h = arith._pm1_stage1(n, 100, WorkMeter(10**9))
+    return arith._pm1_stage2(n, h, 100, 20_000, WorkMeter(10**9))
+
+
+def test_pm1_stage2_inside_a_daemonic_process(monkeypatch):
+    # pool workers are daemonic and may not fork workers of their own, so
+    # stage 2 walks its segments in the calling process there
+    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 3000)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.map_async(_stage2_hit, [0]).get(timeout=60) == [P_12011]
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pellcheck.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pellcheck.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0
+    assert result.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

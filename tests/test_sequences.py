@@ -6,6 +6,7 @@ from pellcheck.sequences import (
     pell_lucas_iterative,
     pell_lucas_sequence,
     pell_pair,
+    pell_residue,
     pell_sequence,
     size_bound_holds,
 )
@@ -55,6 +56,19 @@ def test_doubling_agrees_with_iteration_to_2000():
         pair = pell_pair(n)
         assert pair.p == ps[n]
         assert pair.q == qs[n]
+
+
+@pytest.mark.parametrize("modulus", [3, 7, 2**61 - 1])
+def test_residue_ladder_agrees_with_iteration_to_2000(modulus):
+    ps = pell_sequence(2000)
+    for n in range(2001):
+        assert pell_residue(n, modulus) == ps[n] % modulus
+
+
+def test_residue_ladder_rejects_even_modulus():
+    for modulus in (1, 2, 2**61):
+        with pytest.raises(ValueError):
+            pell_residue(5, modulus)
 
 
 def test_companion_relation_to_2000():

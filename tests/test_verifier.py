@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pellcheck import verifier
 from pellcheck.arith import STAGES, FactorPolicy, Factorization, factor
 from pellcheck.lehmer import LehmerReason, LehmerStatus
 from pellcheck.sequences import digits10, pell_pair, pell_sequence
@@ -238,6 +239,45 @@ def test_final_threshold():
         final_inequality_holds(15)
 
 
+def test_final_threshold_agrees_with_exhaustive_scan():
+    holding = [n for n in range(16, 3000) if final_inequality_holds(n)]
+    assert holding == list(range(16, final_threshold()))
+
+
+def test_final_inequality_block_check():
+    # 70^2/71 < 16 (ln ln 2999)^2, so [70, 2999] must be split, while
+    # 70^2/71 >= 16 (ln ln 1534)^2 proves failure on all of [70, 1534]
+    assert certify(verifier._final_inequality_decide(70, 2999)) is True
+    assert certify(verifier._final_inequality_decide(70, 1534)) is False
+    assert certify(verifier._final_inequality_decide(1535, 2999)) is False
+
+
+def test_final_threshold_finds_a_planted_late_satisfying_index(monkeypatch):
+    # the block proof must bisect down to a satisfying n far past the scan
+    real = verifier._final_inequality_decide
+
+    def planted(a, b):
+        return (lambda bits: True) if a <= 500 <= b else real(a, b)
+
+    monkeypatch.setattr(verifier, "_final_inequality_decide", planted)
+    monkeypatch.setattr(verifier, "_final_threshold_cache", None)
+    with pytest.raises(AssertionError, match="not contiguous at 500"):
+        final_threshold()
+
+
+def test_final_threshold_makes_few_certified_comparisons(monkeypatch):
+    calls = []
+
+    def counting_certify(decide, **kwargs):
+        calls.append(decide)
+        return certify(decide, **kwargs)
+
+    monkeypatch.setattr(verifier, "certify", counting_certify)
+    monkeypatch.setattr(verifier, "_final_threshold_cache", None)
+    assert final_threshold() == 21
+    assert len(calls) <= 100
+
+
 def test_e8_threshold():
     assert e8_threshold_check() is True
     enc = e8_enclosure()
@@ -340,6 +380,31 @@ def test_cache_rejects_oversized_exponent_for_large_index_quickly(tmp_path):
     assert cache.rejected == ["line 1: 2^30000000 exceeds P_20000000"]
 
 
+def test_cache_rejects_plausible_size_product_mismatch_quickly(tmp_path):
+    # 2^20000000 passes both size checks (40,000,000 claimed bits, below
+    # the 2^25432000 ceiling for the power alone), so only the product mod
+    # 2^61 - 1 refuses it before P_20000000 is built
+    path = tmp_path / "cache.txt"
+    path.write_text("20000000 2^20000000 cofactor=1 complete=1\n")
+    t0 = time.perf_counter()
+    cache = FactorCache(str(path))
+    assert time.perf_counter() - t0 < 0.1
+    assert cache.rejected == [
+        "line 1: product differs from P_20000000 mod 2^61 - 1"]
+
+
+def test_cache_genuine_lines_pass_the_residue_check(tmp_path):
+    path = tmp_path / "cache.txt"
+    cache = FactorCache(str(path))
+    verify_range(40, FAST, cache=cache)
+    cache.write_file()
+    lines = path.read_text().splitlines()
+    reloaded = FactorCache(str(path))
+    assert reloaded.rejected == []
+    assert reloaded.loaded == len(lines) == len(cache.entries) > 0
+    assert reloaded.entries == cache.entries
+
+
 def test_cache_product_mismatch_names_size_not_digits(tmp_path):
     # P_6000 has 2,297 digits; the reason must not print them
     f = factor(pell_pair(6000).p, FAST, on_prime=lambda p, e: p > 100)
@@ -348,10 +413,8 @@ def test_cache_product_mismatch_names_size_not_digits(tmp_path):
     path.write_text(" ".join(["6000"] + [f"{p}^{e}" for p, e in f.factors]
                              + [f"cofactor={wrong}", "complete=0"]) + "\n")
     cache = FactorCache(str(path))
-    bits = pell_pair(6000).p.bit_length()
     assert cache.rejected == [
-        f"line 1: factorization does not multiply back to the {bits}-bit "
-        "target"]
+        "line 1: product differs from P_6000 mod 2^61 - 1"]
 
 
 def test_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):

@@ -3,13 +3,13 @@
 Subcommands: pell, factor, lehmer, identities, verify, bounds.  Structured
 output goes to stdout as canonical JSON; diagnostics go to stderr.  Exit
 status: 0 success / verified, 1 verification failure or undecided results,
-2 invalid arguments.
+2 invalid arguments, 130 interrupted (Ctrl-C; an interrupted `verify`
+writes no cache file).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -26,34 +26,30 @@ from .verifier import (
     verify_range,
 )
 
-CACHE_ENV_VAR = "PELLCHECK_CACHE"
 DEFAULT_INDEX_CAP = 1_000_000
+
+#: (flag, FactorPolicy field, help) for each policy flag; the defaults are
+#: FactorPolicy's own
+_POLICY_FLAGS = (
+    ("--trial-bound", "trial_bound", "largest trial-division prime"),
+    ("--rho-budget", "rho_budget_ms", "per-attempt rho budget in ms"),
+    ("--max-total", "max_total_ms", "overall factoring budget in ms"),
+    ("--pm1-b1", "pm1_b1", "p-1 stage-1 bound (0 disables)"),
+    ("--pm1-b2", "pm1_b2", "p-1 stage-2 bound (0 disables)"),
+    ("--seed", "seed", "seed for pseudo-random parameter choices"),
+)
 
 
 def _policy_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--trial-bound", type=int, default=1_000_000,
-                     help="largest trial-division prime")
-    sub.add_argument("--rho-budget", type=int, default=4_000,
-                     help="per-attempt rho budget in ms")
-    sub.add_argument("--max-total", type=int, default=120_000,
-                     help="overall factoring budget in ms")
-    sub.add_argument("--pm1-b1", type=int, default=1_000_000,
-                     help="p-1 stage-1 bound (0 disables)")
-    sub.add_argument("--pm1-b2", type=int, default=2_000_000_000,
-                     help="p-1 stage-2 bound (0 disables)")
-    sub.add_argument("--seed", type=int, default=1,
-                     help="seed for pseudo-random parameter choices")
+    defaults = FactorPolicy()
+    for flag, name, text in _POLICY_FLAGS:
+        sub.add_argument(flag, dest=name, type=int,
+                         default=getattr(defaults, name), help=text)
 
 
 def _policy_from(args: argparse.Namespace) -> FactorPolicy:
-    return FactorPolicy(
-        trial_bound=args.trial_bound,
-        rho_budget_ms=args.rho_budget,
-        max_total_ms=args.max_total,
-        pm1_b1=args.pm1_b1,
-        pm1_b2=args.pm1_b2,
-        seed=args.seed,
-    )
+    return FactorPolicy(**{name: getattr(args, name)
+                           for _, name, _ in _POLICY_FLAGS})
 
 
 def _format_arg(sub: argparse.ArgumentParser) -> None:
@@ -98,10 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = commands.add_parser("verify",
                                    help="verify indices 1..n-max")
     p_verify.add_argument("--n-max", type=int, default=200)
-    p_verify.add_argument("--cache", type=str,
-                          default=os.environ.get(CACHE_ENV_VAR),
-                          help="factor cache file (default from "
-                               f"${CACHE_ENV_VAR})")
+    p_verify.add_argument("--cache", type=str, help="factor cache file")
     p_verify.add_argument("--verbose", "-v", action="store_true",
                           help="per-index progress on stderr")
     _policy_args(p_verify)
@@ -133,25 +126,23 @@ def _cmd_pell(args: argparse.Namespace) -> int:
     return 0
 
 
-def _factorization_dict(f) -> dict:
-    return {
-        "target": f.target,
-        "factors": [[p, e] for p, e in f.factors],
-        "cofactor": f.cofactor,
-        "complete": f.complete,
-    }
+def _target(args: argparse.Namespace) -> int:
+    """P_n for --n, or the --value itself; a target below 1 is refused."""
+    if args.n is not None:
+        flag, target = "--n", pell_pair(args.n).p
+    else:
+        flag, target = "--value", args.value
+    if target < 1:
+        raise ValueError(f"{flag} gives target {target}; "
+                         "need a positive integer")
+    return target
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    target = pell_pair(args.n).p if args.n is not None else args.value
-    if target < 1:
-        flag = "--n" if args.n is not None else "--value"
-        print(f"error: {flag} gives target {target}; need a positive integer",
-              file=sys.stderr)
-        return 2
+    target = _target(args)
     f = factor(target, _policy_from(args))
     if args.format == "structured":
-        sys.stdout.write(canonical_json(_factorization_dict(f)))
+        sys.stdout.write(canonical_json({**asdict(f), "complete": f.complete}))
         return 0
     with big_int_strings():
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors]
@@ -164,12 +155,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_lehmer(args: argparse.Namespace) -> int:
-    target = pell_pair(args.n).p if args.n is not None else args.value
-    if target < 1:
-        flag = "--n" if args.n is not None else "--value"
-        print(f"error: {flag} gives target {target}; need a positive integer",
-              file=sys.stderr)
-        return 2
+    target = _target(args)
     verdict = lehmer_check(target, _policy_from(args))
     if args.format == "structured":
         payload = {
@@ -285,6 +271,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

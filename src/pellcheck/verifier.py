@@ -19,7 +19,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -111,49 +111,40 @@ def final_inequality_holds(n: int) -> bool:
     return certify(_final_inequality_decide(n, n))
 
 
-#: final_threshold checks n = 16 .. _THRESHOLD_SCAN - 1 one at a time and
-#: proves failure on the rest of the window block by block.
-_THRESHOLD_SCAN = 70
-
 _final_threshold_cache: Optional[int] = None
 
 
 def final_threshold() -> int:
     """One more than the largest n >= 16 satisfying the final inequality.
 
-    n = 16 .. _THRESHOLD_SCAN - 1 are certified one at a time, and the
-    satisfying ones are verified to be an initial contiguous block that
-    ends inside that range.  Failure on [_THRESHOLD_SCAN, 3000) is proved
-    with block comparisons (see _final_inequality_decide), bisecting any
-    block that does not certify.  Indices beyond the window are irrelevant
-    because the surrounding argument has already forced n below
-    e**8 < 3000 when this inequality is applied.
+    One bisection over [16, 3000): a block whose block comparison (see
+    _final_inequality_decide) certifies False fails throughout and is
+    dropped, any other block is halved, and each single n that certifies
+    True is collected.  The collected n must be exactly 16, 17, ... with
+    no gap.  Indices beyond the window are irrelevant because the
+    surrounding argument has already forced n below e**8 < 3000 when this
+    inequality is applied.
     """
     global _final_threshold_cache
     if _final_threshold_cache is not None:
         return _final_threshold_cache
-    largest = None
-    for n in range(16, _THRESHOLD_SCAN):
-        if final_inequality_holds(n):
-            if largest is not None and n != largest + 1:
-                raise AssertionError(f"satisfying set not contiguous at {n}")
-            if largest is None and n != 16:
-                raise AssertionError("satisfying set does not start at 16")
-            largest = n
-    if largest is None:
-        raise AssertionError("final inequality never holds in the window")
-    if largest == _THRESHOLD_SCAN - 1:
-        raise AssertionError("final inequality still holds at the end of "
-                             "the individually checked range")
-    blocks = [(_THRESHOLD_SCAN, _THRESHOLD_WINDOW - 1)]
+    holding = []
+    blocks = [(16, _THRESHOLD_WINDOW - 1)]
     while blocks:
         a, b = blocks.pop()
         if certify(_final_inequality_decide(a, b)):
             if a == b:
-                raise AssertionError(f"satisfying set not contiguous at {a}")
-            mid = (a + b) // 2
-            blocks += [(mid + 1, b), (a, mid)]
-    _final_threshold_cache = largest + 1
+                holding.append(a)
+            else:
+                mid = (a + b) // 2
+                blocks += [(mid + 1, b), (a, mid)]
+    if not holding:
+        raise AssertionError("final inequality never holds in the window")
+    # blocks are taken lowest first, so holding is ascending
+    for expected, n in enumerate(holding, start=16):
+        if n != expected:
+            raise AssertionError(f"satisfying set not contiguous at {n}")
+    _final_threshold_cache = holding[-1] + 1
     return _final_threshold_cache
 
 
@@ -404,11 +395,19 @@ def _bounded_divisors(powers: dict[int, int], cap: int) -> list[int]:
     return divs
 
 
+def _evidence(verdict: LehmerVerdict) -> Optional[Factorization]:
+    """The factor evidence a verdict leaves: its factorization, P^1 for a
+    prime P, or None."""
+    if (verdict.factorization is None
+            and verdict.reason == LehmerReason.IS_PRIME):
+        return Factorization(verdict.target, ((verdict.target, 1),))
+    return verdict.factorization
+
+
 class VerifyContext:
     """Shared factor knowledge across the indices of one verification run."""
 
-    def __init__(self, policy: FactorPolicy,
-                 file_cache: Optional[FactorCache] = None):
+    def __init__(self, policy: FactorPolicy):
         self.policy = policy
         # structural seeding never deserves deep splitting budgets
         self.seed_policy = replace(
@@ -417,7 +416,6 @@ class VerifyContext:
             max_total_ms=min(policy.max_total_ms, 8000),
             pm1_b2=0,
         )
-        self.file_cache = file_cache
         self.pell_known: dict[int, Factorization] = {}
         self.q_known: dict[int, Factorization] = {}
         #: work units spent on seeding so far, per stage
@@ -432,11 +430,9 @@ class VerifyContext:
 
     def pell_factors(self, idx: int) -> Factorization:
         hit = self.pell_known.get(idx)
-        if hit is None and self.file_cache is not None:
-            hit = self.file_cache.load(idx)
         if hit is None:
             hit = self._budgeted_factor(pell_pair(idx).p)
-        self.pell_known[idx] = hit
+            self.pell_known[idx] = hit
         return hit
 
     def q_factors(self, idx: int) -> Factorization:
@@ -447,16 +443,11 @@ class VerifyContext:
         return hit
 
     def remember(self, n: int, verdict: LehmerVerdict) -> None:
-        f = verdict.factorization
-        if f is None and verdict.reason == LehmerReason.IS_PRIME:
-            f = Factorization(verdict.target, ((verdict.target, 1),))
+        f = _evidence(verdict)
         if f is None:
             return
         current = self.pell_known.get(n)
-        best = f if current is None else _better(f, current)
-        self.pell_known[n] = best
-        if self.file_cache is not None:
-            self.file_cache.store(n, best)
+        self.pell_known[n] = f if current is None else _better(f, current)
 
     def seeds_for(self, n: int, pell_n: int) -> tuple[int, ...]:
         """Primes known to divide P_n before any direct factoring effort.
@@ -659,14 +650,7 @@ class VerificationReport:
         return {
             "schema": self.schema,
             "n_max": self.n_max,
-            "policy": {
-                "trial_bound": self.policy.trial_bound,
-                "rho_budget_ms": self.policy.rho_budget_ms,
-                "max_total_ms": self.policy.max_total_ms,
-                "pm1_b1": self.policy.pm1_b1,
-                "pm1_b2": self.policy.pm1_b2,
-                "seed": self.policy.seed,
-            },
+            "policy": asdict(self.policy),
             "summary": {
                 "status_counts": self.status_counts,
                 "reason_counts": self.reason_counts,
@@ -675,15 +659,9 @@ class VerificationReport:
                 "reproduced": self.reproduced,
                 "total_work_units": self.total_work_units,
             },
-            "bounds": {
-                "e8_below_3000": self.bounds.e8_below_3000,
-                "e8_lo": str(self.bounds.e8_lo),
-                "e8_hi": str(self.bounds.e8_hi),
-                "final_threshold": self.bounds.final_threshold,
-                "omega_floor": self.bounds.omega_floor,
-                "two_power_exponent": self.bounds.two_power_exponent,
-                "two_power_min_index": self.bounds.two_power_min_index,
-            },
+            "bounds": {**asdict(self.bounds),
+                       "e8_lo": str(self.bounds.e8_lo),
+                       "e8_hi": str(self.bounds.e8_hi)},
             "cache": {
                 "path": self.cache_path,
                 "loaded": self.cache_loaded,
@@ -698,23 +676,15 @@ class VerificationReport:
 
     @staticmethod
     def from_dict(data: dict) -> "VerificationReport":
-        policy = FactorPolicy(**data["policy"])
-        bounds = BoundsSummary(
-            e8_below_3000=data["bounds"]["e8_below_3000"],
-            e8_lo=Fraction(data["bounds"]["e8_lo"]),
-            e8_hi=Fraction(data["bounds"]["e8_hi"]),
-            final_threshold=data["bounds"]["final_threshold"],
-            omega_floor=data["bounds"]["omega_floor"],
-            two_power_exponent=data["bounds"]["two_power_exponent"],
-            two_power_min_index=data["bounds"]["two_power_min_index"],
-        )
-        indices = tuple(_index_from_dict(d) for d in data["indices"])
+        bounds = data["bounds"]
         return VerificationReport(
             schema=data["schema"],
             n_max=data["n_max"],
-            policy=policy,
-            indices=indices,
-            bounds=bounds,
+            policy=FactorPolicy(**data["policy"]),
+            indices=tuple(_index_from_dict(d) for d in data["indices"]),
+            bounds=BoundsSummary(**{**bounds,
+                                    "e8_lo": Fraction(bounds["e8_lo"]),
+                                    "e8_hi": Fraction(bounds["e8_hi"])}),
             cache_path=data["cache"]["path"],
             cache_loaded=data["cache"]["loaded"],
             cache_rejected=tuple(data["cache"]["rejected"]),
@@ -877,17 +847,24 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
     comes back not_composite or rejected -- zero undecided, zero holds.
     If given, on_index is called with each IndexReport as soon as its index
     is done, in index order (the CLI's `verify -v` prints progress with
-    it); it does not affect the report.
+    it); it does not affect the report.  If given, cache receives each
+    index's factor evidence after the sweep; the sweep itself never reads
+    it, so no verdict depends on what the cache held.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.perf_counter()
-    context = VerifyContext(policy, file_cache=cache)
+    context = VerifyContext(policy)
     reports = []
     for n in range(1, n_max + 1):
         reports.append(verify_index(n, policy, context=context))
         if on_index is not None:
             on_index(reports[-1])
+    if cache is not None:
+        for r in reports:
+            f = _evidence(r.verdict)
+            if f is not None:
+                cache.store(r.n, f)
     return VerificationReport(
         schema=1,
         n_max=n_max,

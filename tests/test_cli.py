@@ -2,10 +2,13 @@ import decimal
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from pellcheck.cli import main
+from pellcheck import cli
+from pellcheck.arith import FactorPolicy
+from pellcheck.cli import build_parser, main
 from pellcheck.sequences import pell_iterative
 from pellcheck.verifier import VerificationReport, parse_json
 
@@ -142,13 +145,55 @@ def test_verify_starved_exits_1(capsys):
     assert "NOT reproduced" in out
 
 
-def test_verify_cache_env_default(capsys, tmp_path, monkeypatch):
+def test_verify_cache_flag_writes_file(capsys, tmp_path):
+    path = tmp_path / "cache.txt"
+    rc, _, _ = run_cli(capsys, "verify", "--n-max", "9", "--cache", str(path))
+    assert rc == 0
+    assert "9 5^1 197^1 cofactor=1 complete=1" in path.read_text().splitlines()
+
+
+def test_verify_ignores_cache_env_var(capsys, tmp_path, monkeypatch):
+    # --cache is the one way to name the cache file
     path = tmp_path / "cache.txt"
     monkeypatch.setenv("PELLCHECK_CACHE", str(path))
-    rc, out, _ = run_cli(capsys, "verify", "--n-max", "9")
+    rc, _, _ = run_cli(capsys, "verify", "--n-max", "9")
     assert rc == 0
-    assert path.exists()
-    assert "9 5^1 197^1 cofactor=1 complete=1" in path.read_text()
+    assert not path.exists()
+
+
+def test_verify_interrupt_exits_130_and_writes_no_cache(capsys, tmp_path,
+                                                         monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "verify_range", interrupted)
+    path = tmp_path / "cache.txt"
+    rc, out, err = run_cli(capsys, "verify", "--n-max", "9",
+                           "--cache", str(path))
+    assert rc == 130
+    assert out == "" and err == "interrupted\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("command", [["factor", "--value", "12"],
+                                     ["lehmer", "--value", "12"],
+                                     ["verify"]])
+def test_no_policy_flags_give_the_default_policy(command):
+    args = build_parser().parse_args(command)
+    assert cli._policy_from(args) == FactorPolicy()
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--trial-bound", "trial_bound"),
+    ("--rho-budget", "rho_budget_ms"),
+    ("--max-total", "max_total_ms"),
+    ("--pm1-b1", "pm1_b1"),
+    ("--pm1-b2", "pm1_b2"),
+    ("--seed", "seed"),
+])
+def test_policy_flag_sets_its_field(flag, field):
+    args = build_parser().parse_args(["verify", flag, "7"])
+    assert cli._policy_from(args) == replace(FactorPolicy(), **{field: 7})
 
 
 def test_bounds_human(capsys):

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,18 @@ def test_final_threshold_finds_a_planted_late_satisfying_index(monkeypatch):
         final_threshold()
 
 
+def test_final_threshold_refuses_a_planted_gap(monkeypatch):
+    real = verifier._final_inequality_decide
+
+    def planted(a, b):
+        return (lambda bits: False) if a == b == 18 else real(a, b)
+
+    monkeypatch.setattr(verifier, "_final_inequality_decide", planted)
+    monkeypatch.setattr(verifier, "_final_threshold_cache", None)
+    with pytest.raises(AssertionError, match="not contiguous at 19"):
+        final_threshold()
+
+
 def test_final_threshold_makes_few_certified_comparisons(monkeypatch):
     calls = []
 
@@ -275,7 +288,7 @@ def test_final_threshold_makes_few_certified_comparisons(monkeypatch):
     monkeypatch.setattr(verifier, "certify", counting_certify)
     monkeypatch.setattr(verifier, "_final_threshold_cache", None)
     assert final_threshold() == 21
-    assert len(calls) <= 100
+    assert len(calls) <= 40
 
 
 def test_e8_threshold():
@@ -478,12 +491,36 @@ def test_verify_range_uses_cache(tmp_path):
     report = verify_range(20, FAST, cache=cache)
     assert report.cache_stored > 0
     cache.write_file()
-    # a second run seeded from the file decides everything instantly
+    first = path.read_bytes()
+    # a second run loads what the first stored, adds nothing and rewrites
+    # the same file; only the cache block of its report differs
     cache2 = FactorCache(str(path))
     report2 = verify_range(20, FAST, cache=cache2)
-    assert report2.reproduced == report.reproduced
-    assert [r.verdict.status for r in report2.indices] == [
-        r.verdict.status for r in report.indices]
+    assert report2 == replace(report, cache_loaded=report.cache_stored,
+                              cache_stored=0)
+    cache2.write_file()
+    assert path.read_bytes() == first
+
+
+def test_verify_range_never_reads_the_cache(monkeypatch):
+    expected = FactorCache()
+    first = verify_range(40, FAST, cache=expected)
+    # every index with evidence is stored: P_2 = 2 and each odd n >= 3
+    assert sorted(expected.entries) == [2, *range(3, 41, 2)]
+    for r in first.indices:
+        if r.verdict.reason == LehmerReason.IS_PRIME:
+            assert expected.entries[r.n].factors == ((r.verdict.target, 1),)
+        elif r.n in expected.entries:
+            assert expected.entries[r.n] == r.verdict.factorization
+
+    def refuse(self, n):
+        raise AssertionError(f"the sweep looked up index {n}")
+
+    monkeypatch.setattr(FactorCache, "load", refuse)
+    cache = FactorCache()
+    report = verify_range(40, FAST, cache=cache)
+    assert report.reproduced
+    assert cache.entries == expected.entries
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,15 @@ The splitting pipeline for a stubborn composite is, in order of cost:
 perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
 pow()), Brent-cycle rho, and p-1 stage 2, a baby-step/giant-step walk
 over the primes in (b1, b2] that costs one modular multiplication per
-prime.  Stage 2 walks its segments on a fork pool with one worker per
-available CPU and consumes their outcomes in segment order, so its
-result and its work units are those of a serial walk; there is no
-setting for the worker count.  Elliptic curves and sieve methods are
-deliberately out of scope.
+prime.  Rho tries a new random start (at most three in all) only after a
+collision, when its cycle closes on n itself; an attempt that runs out
+of iterations hands over to stage 2 at once, because another start
+would cost as much again.  Stage 2 walks its segments on a fork pool
+with one worker per available CPU (_stage2_workers, which the sweep's
+own pool in verifier also uses) and consumes their outcomes in segment
+order, so its result and its work units are those of a serial walk;
+there is no setting for the worker count.  Elliptic curves and sieve
+methods are deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -304,7 +308,12 @@ def _rho_rng(seed: int, n: int, attempt: int) -> random.Random:
 
 def _brent_rho(n: int, max_iters: int, rng: random.Random,
                meter: WorkMeter) -> Optional[int]:
-    """One Brent-cycle rho attempt; returns a nontrivial divisor or None."""
+    """One Brent-cycle rho attempt.
+
+    Returns a proper divisor of n; n itself when the cycle closed without
+    splitting n (a collision, which another start may avoid); or None when
+    max_iters ran out first.
+    """
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -339,7 +348,7 @@ def _brent_rho(n: int, max_iters: int, rng: random.Random,
         while g == 1:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
-    return g if g != n else None
+    return g
 
 
 _stage1_exponent_cache: dict[int, int] = {}
@@ -456,9 +465,10 @@ def _stage2_segment(n: int, h: int, b2: int,
 
 
 def _stage2_workers() -> int:
-    """How many processes may walk stage-2 segments at once: the CPUs this
-    process may run on, or 1 where it cannot fork pool workers (a daemonic
-    process may not have children; some platforms lack fork)."""
+    """How many processes may walk stage-2 segments (or, in verifier,
+    sweep tasks) at once: the CPUs this process may run on, or 1 where it
+    cannot fork pool workers (a daemonic process may not have children;
+    some platforms lack fork)."""
     import multiprocessing
 
     if (multiprocessing.current_process().daemon
@@ -525,8 +535,11 @@ def _find_divisor(n: int, policy: FactorPolicy,
     rho_iters = policy.rho_budget_ms * UNITS_PER_MS
     for attempt in range(3):
         g = _brent_rho(n, rho_iters, _rho_rng(policy.seed, n, attempt), meter)
-        if g is not None:
+        if g is None:
+            break  # the budget ran out; a new start would cost as much
+        if g != n:
             return g
+        # a collision: try again from the next start
     if stage2_h and policy.pm1_b2 > policy.pm1_b1:
         return _pm1_stage2(n, stage2_h, policy.pm1_b1, policy.pm1_b2, meter)
     return None

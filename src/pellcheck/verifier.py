@@ -29,6 +29,7 @@ from .arith import (
     FactorPolicy,
     Factorization,
     WorkMeter,
+    _stage2_workers,
     factor,
     is_probable_prime,
     nu2,
@@ -474,6 +475,187 @@ class VerifyContext:
                     seeds.add(c)
         return tuple(sorted(seeds))
 
+    def verdict(self, n: int, pell_n: int) -> tuple[LehmerVerdict,
+                                                     dict[str, int],
+                                                     dict[str, int]]:
+        """Seed and decide P_n in this process.
+
+        Returns the verdict and the units spent seeding and deciding it,
+        by stage; the verdict's evidence is remembered for later indices.
+        """
+        seed_units_before = dict(self.seed_units)
+        seeds = self.seeds_for(n, pell_n) if n % 2 == 1 and pell_n > 1 else ()
+        meter = WorkMeter(self.policy.max_total_ms * UNITS_PER_MS)
+        verdict = lehmer_check(pell_n, self.policy, seeds=seeds, meter=meter)
+        self.remember(n, verdict)
+        seed_units = {stage: units - seed_units_before[stage]
+                      for stage, units in self.seed_units.items()}
+        return verdict, seed_units, dict(meter.by_stage)
+
+
+def _sweep_task(policy: FactorPolicy, task: tuple[str, int],
+                pell_known: dict[int, Factorization],
+                q_known: dict[int, Factorization]):
+    """One task of a pooled sweep, run in a worker with the factor
+    knowledge it reads.
+
+    ("P", a) and ("Q", b) factor P_a and Q_b under the seeding budget and
+    return (factorization, seed units); ("index", n) seeds and decides P_n
+    and returns what VerifyContext.verdict returns.
+    """
+    context = VerifyContext(policy)
+    context.pell_known.update(pell_known)
+    context.q_known.update(q_known)
+    kind, idx = task
+    if kind == "P":
+        return context.pell_factors(idx), context.seed_units
+    if kind == "Q":
+        return context.q_factors(idx), context.seed_units
+    return context.verdict(idx, pell_pair(idx).p)
+
+
+def _serve(conn) -> None:
+    """A sweep worker: run each task the caller sends and send back
+    (True, result) or (False, (exception, its traceback)), until the
+    caller kills it."""
+    import signal
+    import traceback
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops workers
+    while True:
+        task = conn.recv()
+        try:
+            reply = True, _sweep_task(*task)
+        except Exception as exc:
+            reply = False, (exc, traceback.format_exc())
+        conn.send(reply)
+
+
+class _SweepPool(VerifyContext):
+    """A VerifyContext that seeds and decides the odd indices 3..n_max on
+    forked worker processes.
+
+    The tasks are the budgeted factorizations of the P_a (even a > 2) and
+    Q_b that the splits P_n - 1 = P_a * Q_b read, each computed once, and
+    each odd index's seeding and decision, which reads the evidence of its
+    odd proper divisors and its split halves.  Every task depends only on
+    lower indices.  Tasks start in index order, each as soon as a worker is
+    idle and what it reads is known.  A factorization's units are charged
+    to the lowest index that reads it, as the serial memo charges them, so
+    every verdict and unit count is that of an in-process sweep.  The
+    workers are not daemonic, so p-1 stage 2 inside them still forks its
+    own pool.  Each worker leads its own process group, and close() kills
+    each group: the worker and any stage-2 pool it runs end at once, with
+    no signal handler that could miss the signal.  The workers are forked,
+    as stage 2's are, before this process starts any thread.
+    """
+
+    def __init__(self, policy: FactorPolicy, n_max: int, workers: int):
+        import multiprocessing
+
+        super().__init__(policy)
+        #: (index charged, task, pell indices read, Q indices read)
+        self.pending: list[tuple[int, tuple[str, int], tuple[int, ...],
+                                 tuple[int, ...]]] = []
+        listed = set()
+        for n in range(3, n_max + 1, 2):
+            a, b = split_indices(n)
+            for task in (("P", a), ("Q", b)):
+                # P_2 = 2 is prime, so index 2's verdict already carries it
+                if task != ("P", 2) and task not in listed:
+                    listed.add(task)
+                    self.pending.append((n, task, (), ()))
+            self.pending.append((n, ("index", n),
+                                 (*_proper_divisors(n), a), (b,)))
+        self.charged: dict[int, dict[str, int]] = {}
+        self.results: dict[int, tuple] = {}
+        self.running: dict = {}  # connection -> (index charged, task)
+        self.workers: list = []  # (process, connection)
+        fork = multiprocessing.get_context("fork")
+        try:
+            for _ in range(min(workers, len(self.pending))):
+                conn, child = fork.Pipe()
+                proc = fork.Process(target=_serve, args=(child,))
+                proc.start()
+                self.workers.append((proc, conn))
+                child.close()
+                # before any task is sent, so a stage-2 pool joins it too
+                os.setpgid(proc.pid, proc.pid)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Kill every worker with its process group and wait for it."""
+        import signal
+
+        for proc, _ in self.workers:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # gone, or not yet a group leader
+                proc.kill()
+        for proc, conn in self.workers:
+            proc.join()
+            conn.close()
+
+    def _start(self) -> None:
+        """Give each idle worker the first task, in index order, whose
+        inputs are known."""
+        for _, conn in self.workers:
+            if conn in self.running:
+                continue
+            for i, (n, task, reads_p, reads_q) in enumerate(self.pending):
+                if (all(d in self.pell_known for d in reads_p)
+                        and all(b in self.q_known for b in reads_q)):
+                    break
+            else:
+                return
+            del self.pending[i]
+            conn.send((self.policy, task,
+                       {d: self.pell_known[d] for d in reads_p},
+                       {b: self.q_known[b] for b in reads_q}))
+            self.running[conn] = (n, task)
+
+    def _collect(self) -> None:
+        """Wait for running tasks to finish and record their results."""
+        from multiprocessing.connection import wait
+
+        busy = {conn: proc for proc, conn in self.workers
+                if conn in self.running}
+        ready = wait([*busy, *(proc.sentinel for proc in busy.values())])
+        done = [conn for conn in busy if conn in ready]
+        if not done:
+            raise RuntimeError("a sweep worker exited")
+        for conn in done:
+            ok, result = conn.recv()
+            n, (kind, idx) = self.running.pop(conn)
+            if not ok:
+                exc, trace = result
+                raise exc from RuntimeError(f"in a sweep worker:\n{trace}")
+            if kind == "index":
+                self.results[idx] = result
+                self.remember(idx, result[0])
+                continue
+            factors, units = result
+            (self.pell_known if kind == "P" else self.q_known)[idx] = factors
+            charged = self.charged.setdefault(n, dict.fromkeys(STAGES, 0))
+            for stage, u in units.items():
+                charged[stage] += u
+
+    def verdict(self, n: int, pell_n: int) -> tuple[LehmerVerdict,
+                                                     dict[str, int],
+                                                     dict[str, int]]:
+        """Index n's verdict and units, from the pool for odd n >= 3."""
+        if n % 2 == 0 or n < 3:
+            return super().verdict(n, pell_n)
+        while n not in self.results:
+            self._start()
+            self._collect()
+        verdict, seed_units, decide_units = self.results.pop(n)
+        charged = self.charged.pop(n, {})
+        return verdict, {stage: units + charged.get(stage, 0)
+                         for stage, units in seed_units.items()}, decide_units
+
 
 def _proper_divisors(n: int) -> list[int]:
     """Divisors d of n with 2 <= d < n, ascending."""
@@ -517,7 +699,10 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
     """Identity checks plus the staged Lehmer screen for one index.
 
     Even indices short-circuit: P_n is even there, so an even composite is
-    rejected on parity alone and no factor harvesting is attempted.
+    rejected on parity alone and no factor harvesting is attempted.  The
+    verdict comes from context.verdict: computed here for a VerifyContext,
+    or taken from verify_range's pool, waiting for it if needed, so
+    elapsed_ms is then the time this call waited.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
@@ -533,16 +718,7 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
         split_pell_minus_one(n)  # raises if the product fails
         split_ok = True
 
-    seed_units_before = dict(context.seed_units)
-    if n % 2 == 1 and pair.p > 1:
-        seeds = context.seeds_for(n, pair.p)
-    else:
-        seeds = ()
-    meter = WorkMeter(policy.max_total_ms * UNITS_PER_MS)
-    verdict = lehmer_check(pair.p, policy, seeds=seeds, meter=meter)
-    context.remember(n, verdict)
-    seed_units = {stage: units - seed_units_before[stage]
-                  for stage, units in context.seed_units.items()}
+    verdict, seed_units, decide_units = context.verdict(n, pair.p)
 
     factors: tuple[tuple[int, int, int], ...] = ()
     if verdict.factorization is not None:
@@ -557,10 +733,10 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
         nu2_lemma_ok=nu2_ok,
         split_product_ok=split_ok,
         factors_found=factors,
-        work_units=meter.used + sum(seed_units.values()),
+        work_units=sum(seed_units.values()) + sum(decide_units.values()),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         seed_stage_units=seed_units,
-        decide_stage_units=dict(meter.by_stage),
+        decide_stage_units=decide_units,
     )
 
 
@@ -845,6 +1021,12 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
 
     The run reproduces the finite machine check exactly when every index
     comes back not_composite or rejected -- zero undecided, zero holds.
+    verify_index is called once per index, in index order, in this
+    process.  The odd indices from 3 up are seeded and decided on a fork
+    pool of one worker per available CPU (see _SweepPool), started here
+    and ended before this returns or raises; with one CPU, in a daemonic
+    process or without fork, VerifyContext does the same work in this
+    process.  Both give the same report and the same units per index.
     If given, on_index is called with each IndexReport as soon as its index
     is done, in index order (the CLI's `verify -v` prints progress with
     it); it does not affect the report.  If given, cache receives each
@@ -854,12 +1036,18 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.perf_counter()
-    context = VerifyContext(policy)
+    workers = _stage2_workers() if n_max >= 3 else 1
+    context = (_SweepPool(policy, n_max, workers) if workers > 1
+               else VerifyContext(policy))
     reports = []
-    for n in range(1, n_max + 1):
-        reports.append(verify_index(n, policy, context=context))
-        if on_index is not None:
-            on_index(reports[-1])
+    try:
+        for n in range(1, n_max + 1):
+            reports.append(verify_index(n, policy, context=context))
+            if on_index is not None:
+                on_index(reports[-1])
+    finally:
+        if workers > 1:
+            context.close()
     if cache is not None:
         for r in reports:
             f = _evidence(r.verdict)

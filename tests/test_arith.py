@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from itertools import compress
@@ -206,6 +207,58 @@ def test_factor_stage_units_sum_to_used():
     assert all(meter.by_stage[s] > 0 for s in ("trial", "pm1_stage1", "rho"))
 
 
+def test_brent_rho_tells_collision_from_exhaustion():
+    def rho(n, max_iters, seed):
+        return arith._brent_rho(n, max_iters, random.Random(seed),
+                                WorkMeter(10**9))
+
+    # from these starts the cycle on 15 closes at 15 itself, or splits it
+    assert rho(15, 10**6, 1) == 15
+    assert rho(15, 10**6, 0) == 3
+    # 100 iterations cannot split a product of two primes near 10**6
+    assert rho(1000003 * 1000033, 100, 1) is None
+
+
+def _scripted_rho(monkeypatch, outcomes):
+    """Make _brent_rho return the given outcomes in turn; return the list
+    of attempts it was asked for."""
+    calls = []
+
+    def rho(n, max_iters, rng, meter):
+        calls.append(n)
+        return outcomes[len(calls) - 1]
+
+    monkeypatch.setattr(arith, "_brent_rho", rho)
+    return calls
+
+
+def test_rho_exhausted_attempt_goes_on_to_stage2(monkeypatch):
+    n = 1000003 * 1000033
+    calls = _scripted_rho(monkeypatch, [None, 1000003, 1000003])
+    monkeypatch.setattr(arith, "_pm1_stage1", lambda n, b1, meter: (None, 5))
+    stage2 = []
+
+    def walk(n, h, b1, b2, meter):
+        stage2.append(h)
+        return 1000033
+
+    monkeypatch.setattr(arith, "_pm1_stage2", walk)
+    found = arith._find_divisor(n, FactorPolicy(), WorkMeter(10**9))
+    assert (found, calls, stage2) == (1000033, [n], [5])
+
+
+def test_rho_collision_starts_the_next_attempt(monkeypatch):
+    n = 1000003 * 1000033
+    calls = _scripted_rho(monkeypatch, [n, n, 1000003])
+    policy = FactorPolicy(pm1_b1=0, pm1_b2=0)
+    assert arith._find_divisor(n, policy, WorkMeter(10**9)) == 1000003
+    assert calls == [n, n, n]
+    # three collisions and no p-1: nothing found
+    calls = _scripted_rho(monkeypatch, [n, n, n, 1000003])
+    assert arith._find_divisor(n, policy, WorkMeter(10**9)) is None
+    assert calls == [n, n, n]
+
+
 # ---------------------------------------------------------------------------
 # p-1 stage 2 and its segment sieve
 
@@ -336,6 +389,20 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     )
     assert result.returncode == 0
     assert result.stdout == "False\n"
+    # a sweep with no odd index above 1 starts no pool, so the cold start
+    # stays as cheap as the import
+    script = (
+        "import os, sys, pellcheck.cli\n"
+        "os.fork = None\n"
+        "rc = pellcheck.cli.main(['verify', '--n-max', '2'])\n"
+        "print(rc, sorted({'multiprocessing', 'concurrent.futures',\n"
+        "                  'subprocess'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import decimal
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
 
-from pellcheck import cli
+from pellcheck import cli, verifier
 from pellcheck.arith import FactorPolicy
 from pellcheck.cli import build_parser, main
 from pellcheck.sequences import pell_iterative
@@ -174,6 +178,25 @@ def test_verify_interrupt_exits_130_and_writes_no_cache(capsys, tmp_path,
     assert out == "" and err == "interrupted\n"
     assert not path.exists()
 
+    # Ctrl-C while the sweep waits for its pool: the workers ignore SIGINT
+    # and verify_range ends them before the CLI reports the interrupt
+    real = verifier.verify_index
+
+    def interrupted_at_9(n, *args, **kwargs):
+        if n == 9:
+            raise KeyboardInterrupt
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_range", verifier.verify_range)
+    monkeypatch.setattr(verifier, "_stage2_workers", lambda: 2)
+    monkeypatch.setattr(verifier, "verify_index", interrupted_at_9)
+    rc, out, err = run_cli(capsys, "verify", "--n-max", "60",
+                           "--cache", str(path))
+    assert rc == 130
+    assert out == "" and err == "interrupted\n"
+    assert not path.exists()
+    assert multiprocessing.active_children() == []
+
 
 @pytest.mark.parametrize("command", [["factor", "--value", "12"],
                                      ["lehmer", "--value", "12"],
@@ -262,6 +285,44 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "169\n"
+
+
+def _session_members(sid: int) -> list[int]:
+    """Live processes in session sid, read from /proc."""
+    members = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):  # it just exited
+            continue
+        if fields[0] != "Z" and int(fields[3]) == sid:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_ctrl_c_during_a_sweep_ends_every_process(tmp_path):
+    # a real SIGINT to the whole process group a second into the sweep
+    path = tmp_path / "cache.txt"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pellcheck", "verify", "--n-max", "200",
+         "--cache", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        time.sleep(1.0)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert out == "" and err == "interrupted\n"
+    assert not path.exists()
+    deadline = time.monotonic() + 5
+    while _session_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _session_members(proc.pid) == []
 
 
 def test_zero_target_names_offending_flag(capsys):

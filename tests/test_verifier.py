@@ -1,13 +1,15 @@
 import errno
 import json
+import multiprocessing
 import os
+import signal
 import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from pellcheck import verifier
+from pellcheck import arith, verifier
 from pellcheck.arith import STAGES, FactorPolicy, Factorization, factor
 from pellcheck.lehmer import LehmerReason, LehmerStatus
 from pellcheck.sequences import digits10, pell_pair, pell_sequence
@@ -134,6 +136,116 @@ def test_verify_range_stage_units_sum_to_work_units():
     # the split is kept out of the canonical report
     assert "stage" not in report.to_json()
     assert VerificationReport.from_json(report.to_json()) == report
+
+
+def test_sweep_pool_matches_the_in_process_sweep(monkeypatch):
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(verifier, "_stage2_workers", lambda: workers)
+        seen = []
+        runs[workers] = verify_range(60, FAST,
+                                     on_index=lambda r: seen.append(r.n))
+        assert seen == list(range(1, 61))
+        assert multiprocessing.active_children() == []
+    serial, pooled = runs[1], runs[2]
+    assert pooled.to_json() == serial.to_json()
+    for a, b in zip(serial.indices, pooled.indices):
+        assert a.seed_stage_units == b.seed_stage_units, a.n
+        assert a.decide_stage_units == b.decide_stage_units, a.n
+
+
+def test_sweep_pool_computes_each_seed_factorization_once(monkeypatch,
+                                                          tmp_path):
+    log = tmp_path / "seeded.txt"
+    budgeted = VerifyContext._budgeted_factor
+
+    def logged(self, value):
+        # the workers are forked, so they log to a file
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{value}\n")
+        return budgeted(self, value)
+
+    monkeypatch.setattr(VerifyContext, "_budgeted_factor", logged)
+    values = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(verifier, "_stage2_workers", lambda: workers)
+        verify_range(60, FAST)
+        values[workers] = log.read_text().split()
+        log.unlink()
+    # P_a for the even 4 <= a <= 30 and Q_b for the odd b <= 29
+    assert len(set(values[2])) == len(values[2]) == 29
+    assert sorted(values[2]) == sorted(values[1])
+
+
+def test_sweep_pool_leaves_no_worker_when_a_task_raises(monkeypatch):
+    monkeypatch.setattr(verifier, "_stage2_workers", lambda: 2)
+    bad = pell_pair(41).p
+    real = verifier.lehmer_check
+
+    def failing(n, *args, **kwargs):
+        if n == bad:
+            raise ArithmeticError("planted failure")
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "lehmer_check", failing)
+    seen = []
+    with pytest.raises(ArithmeticError, match="planted failure"):
+        verify_range(60, FAST, on_index=lambda r: seen.append(r.n))
+    assert seen == list(range(1, 41))
+    assert multiprocessing.active_children() == []
+
+
+def _gone(pid: int) -> bool:
+    """True once pid has exited (a zombie that init has yet to reap
+    counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _hung_segment(*args):
+    """A stage-2 segment walk that logs its pid and hangs."""
+    with open(os.environ["HUNG_SEGMENT_LOG"], "a", encoding="ascii") as fh:
+        fh.write(f"{os.getpid()}\n")
+    time.sleep(60)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sweep_pool_ends_the_stage2_pools_of_its_workers(monkeypatch,
+                                                         tmp_path):
+    # indices 71, 73, 109 and 113 reach p-1 stage 2 under this policy, and
+    # their segment walks hang in the stage-2 pools of the sweep workers
+    # until an interrupt (here from a timer) ends the sweep: that must end
+    # those pools too
+    log = tmp_path / "stage2-pids.txt"
+    monkeypatch.setenv("HUNG_SEGMENT_LOG", str(log))
+    monkeypatch.setattr(arith, "_stage2_segment", _hung_segment)
+    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
+    monkeypatch.setattr(arith, "_stage2_workers", lambda: 2)
+    monkeypatch.setattr(verifier, "_stage2_workers", lambda: 2)
+    policy = FactorPolicy(trial_bound=1000, rho_budget_ms=1, max_total_ms=100,
+                          pm1_b1=1000, pm1_b2=200_000)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        with pytest.raises(KeyboardInterrupt):
+            verify_range(120, policy)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    pids = [int(pid) for pid in log.read_text().split()]
+    assert len(pids) >= 2
+    deadline = time.monotonic() + 5
+    while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert all(_gone(pid) for pid in pids)
 
 
 def test_verify_range_rejects_zero():

@@ -11,15 +11,20 @@ The splitting pipeline for a stubborn composite is, in order of cost:
 perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
 pow()), Brent-cycle rho, and p-1 stage 2, a baby-step/giant-step walk
 over the primes in (b1, b2] that costs one modular multiplication per
-prime.  Rho tries a new random start (at most three in all) only after a
-collision, when its cycle closes on n itself; an attempt that runs out
-of iterations hands over to stage 2 at once, because another start
-would cost as much again.  Stage 2 walks its segments on a fork pool
-with one worker per available CPU (_stage2_workers, which the sweep's
-own pool in verifier also uses) and consumes their outcomes in segment
-order, so its result and its work units are those of a serial walk;
-there is no setting for the worker count.  Elliptic curves and sieve
-methods are deliberately out of scope.
+prime.  Stage 1 uses the one base 2 and raises it by one chunk of the
+exponent at a time, with a gcd after each chunk; a chunk whose gcd is n
+is replayed one prime power at a time (backtracking), and only when a
+single prime power takes the gcd from 1 to n does stage 1 give up.  Rho
+tries a new random start (at most three in all) only after a collision,
+when its cycle closes on n itself; an attempt that runs out of
+iterations hands over to stage 2 at once, because another start would
+cost as much again.  Stage 2 walks its segments on forked workers, one
+per available CPU (_stage2_workers, which the sweep's own pool in
+verifier also uses), each with its own pipe, and reads their outcomes in
+segment order, so its result and its work units are those of a serial
+walk; the workers are killed with SIGKILL when the walk ends.  There is
+no setting for the worker count.  Elliptic curves and sieve methods are
+deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -334,7 +339,7 @@ def _brent_rho(n: int, max_iters: int, rng: random.Random,
             steps = min(m, r - k)
             for _ in range(steps):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             g = math.gcd(q, n)
             k += m
             iters += steps
@@ -347,51 +352,78 @@ def _brent_rho(n: int, max_iters: int, rng: random.Random,
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
     return g
 
 
-_stage1_exponent_cache: dict[int, int] = {}
+#: Stage 1 takes one gcd per chunk of the exponent: a run of consecutive
+#: maximal prime powers whose product has at least this many bits.
+_STAGE1_CHUNK_BITS = 1 << 15
+
+_stage1_chunk_cache: dict[tuple[int, int],
+                          list[tuple[tuple[int, ...], int]]] = {}
 
 
-def _stage1_exponent(b1: int) -> int:
-    """Product of all maximal prime powers <= b1 (the stage-1 exponent)."""
-    cached = _stage1_exponent_cache.get(b1)
-    if cached is not None:
-        return cached
+def _stage1_chunks(b1: int) -> list[tuple[tuple[int, ...], int]]:
+    """The stage-1 exponent, the product of all maximal prime powers <= b1,
+    cut into chunks in ascending prime order: (the chunk's prime powers,
+    their product).  Every chunk but the last has at least
+    _STAGE1_CHUNK_BITS bits."""
+    key = (b1, _STAGE1_CHUNK_BITS)
+    chunks = _stage1_chunk_cache.get(key)
+    if chunks is not None:
+        return chunks
     chunks = []
+    powers: list[int] = []
+    product = 1
     for p in small_primes(b1):
         pk = p
         while pk * p <= b1:
             pk *= p
-        chunks.append(pk)
-    while len(chunks) > 1:  # balanced product tree
-        nxt = [a * b for a, b in zip(chunks[::2], chunks[1::2])]
-        if len(chunks) % 2:
-            nxt.append(chunks[-1])
-        chunks = nxt
-    result = chunks[0] if chunks else 1
-    _stage1_exponent_cache[b1] = result
-    return result
+        powers.append(pk)
+        product *= pk
+        if product.bit_length() >= _STAGE1_CHUNK_BITS:
+            chunks.append((tuple(powers), product))
+            powers, product = [], 1
+    if powers:
+        chunks.append((tuple(powers), product))
+    _stage1_chunk_cache[key] = chunks
+    return chunks
 
 
 def _pm1_stage1(n: int, b1: int,
                 meter: WorkMeter) -> tuple[Optional[int], int]:
-    """Pollard p-1 stage 1.  Returns (divisor or None, residue for stage 2)."""
-    exponent = _stage1_exponent(b1)
-    for base in (2, 3):
-        g = math.gcd(base, n)
-        if 1 < g < n:
+    """Pollard p-1 stage 1 with base 2.  Returns (divisor or None, residue
+    for stage 2).
+
+    The power of 2 is raised one chunk of the exponent at a time, with a
+    gcd after each chunk.  A chunk that takes the gcd to n is replayed from
+    the previous residue one prime power at a time, and the first proper
+    divisor is returned; a prime power that takes the gcd from 1 straight
+    to n gives (None, 0).  When no gcd exceeds 1 the residue is 2^E mod n,
+    E the whole exponent.  Each power is charged half its bit length.
+    """
+    if n % 2 == 0:
+        return 2, 0
+    h = 2
+    for powers, chunk in _stage1_chunks(b1):
+        meter.charge(chunk.bit_length() // 2 + 1, "pm1_stage1")
+        h_next = pow(h, chunk, n)
+        g = math.gcd(h_next - 1, n)
+        if g == n:
+            # several primes of n finished inside this chunk; backtrack
+            for pk in powers:
+                meter.charge(pk.bit_length() // 2 + 1, "pm1_stage1")
+                h = pow(h, pk, n)
+                g = math.gcd(h - 1, n)
+                if g != 1:
+                    break
+        if g == n:
+            return None, 0
+        if g != 1:
             return g, 0
-        meter.charge(exponent.bit_length() // 2 + 1, "pm1_stage1")
-        h = pow(base, exponent, n)
-        g = math.gcd(h - 1, n)
-        if g == 1:
-            return None, h
-        if g < n:
-            return g, 0
-        # g == n: p-1 is b1-smooth for every prime of n; try the next base
-    return None, 0
+        h = h_next
+    return None, h
 
 
 #: Stage 2 takes one gcd per segment of this length.
@@ -480,44 +512,73 @@ def _stage2_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _stage2_serve(conn, walk: Callable, segments: list) -> None:
+    """A stage-2 worker: walk the given segments in turn and send each
+    outcome, until the caller kills it."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops workers
+    for bounds in segments:
+        conn.send(walk(bounds))
+
+
+def _receive(conn):
+    """The next outcome a stage-2 worker sent."""
+    try:
+        return conn.recv()
+    except EOFError:
+        raise RuntimeError("a p-1 stage-2 worker exited") from None
+
+
 def _pm1_stage2(n: int, h: int, b1: int, b2: int,
                 meter: WorkMeter) -> Optional[int]:
     """Pollard p-1 stage 2 over the primes q in (b1, b2], segment by segment.
 
-    The segments run on a fork pool of one worker per available CPU (or
-    in this process, with one CPU or one segment), and their outcomes are
-    consumed strictly in segment order: each is charged
+    The segments run on forked workers, one per available CPU (or in this
+    process, with one CPU or one segment).  Worker i walks segments i,
+    i + workers, ... and sends each outcome down its own pipe, and the
+    outcomes are read strictly in segment order: each is charged
     3 * primes + 1000 units, and the first that is not 1 is the result.
     The divisor, the units charged and the point where BudgetExhausted is
-    raised are therefore those of a serial walk.  The pool is terminated
-    on every exit, so no worker outlives the call.  It forks rather than
-    spawns: spawn re-runs the caller's __main__ in every worker, which
-    recurses in a script that has no __main__ guard.
+    raised are therefore those of a serial walk.  Every worker is killed
+    with SIGKILL and joined on every exit, so none outlives the call and
+    no signal handler it inherited can delay its end.  The workers fork
+    rather than spawn: spawn re-runs the caller's __main__ in every
+    worker, which recurses in a script that has no __main__ guard.
     """
     segments = [(lo, min(lo + _STAGE2_SEGMENT, b2))
                 for lo in range(b1, b2, _STAGE2_SEGMENT)]
     walk = functools.partial(_stage2_segment, n, h, b2)
     workers = min(_stage2_workers(), len(segments))
-    pool = None
-    if workers > 1:
-        import multiprocessing
-        import signal
-
-        # the workers ignore Ctrl-C: this process terminates them
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=signal.signal,
-            initargs=(signal.SIGINT, signal.SIG_IGN))
+    procs, conns = [], []
     try:
-        outcomes = (pool.imap(walk, segments, chunksize=1) if pool
-                    else map(walk, segments))
+        if workers > 1:
+            import multiprocessing
+
+            fork = multiprocessing.get_context("fork")
+            for i in range(workers):
+                conn, child = fork.Pipe(duplex=False)
+                conns.append(conn)
+                proc = fork.Process(target=_stage2_serve,
+                                    args=(child, walk, segments[i::workers]))
+                proc.start()
+                procs.append(proc)
+                child.close()
+            outcomes = (_receive(conns[i % workers])
+                        for i in range(len(segments)))
+        else:
+            outcomes = map(walk, segments)
         for primes, outcome in outcomes:
             meter.charge(3 * primes + 1000, "pm1_stage2")
             if outcome != 1:
                 return outcome
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
     return None
 
 

@@ -542,12 +542,14 @@ class _SweepPool(VerifyContext):
     lower indices.  Tasks start in index order, each as soon as a worker is
     idle and what it reads is known.  A factorization's units are charged
     to the lowest index that reads it, as the serial memo charges them, so
-    every verdict and unit count is that of an in-process sweep.  The
-    workers are not daemonic, so p-1 stage 2 inside them still forks its
-    own pool.  Each worker leads its own process group, and close() kills
-    each group: the worker and any stage-2 pool it runs end at once, with
-    no signal handler that could miss the signal.  The workers are forked,
-    as stage 2's are, before this process starts any thread.
+    every verdict and unit count is that of an in-process sweep.  A task
+    that raises is raised again when the sweep reaches the index it is
+    charged to, so every lower index is reported first, as in-process.
+    The workers are not daemonic, so p-1 stage 2 inside them still forks
+    its own workers.  Each worker leads its own process group, and close()
+    kills each group: the worker and any stage-2 workers it runs end at
+    once, with no signal handler that could miss the signal.  The workers
+    are forked, as stage 2's are, before this process starts any thread.
     """
 
     def __init__(self, policy: FactorPolicy, n_max: int, workers: int):
@@ -569,6 +571,8 @@ class _SweepPool(VerifyContext):
                                  (*_proper_divisors(n), a), (b,)))
         self.charged: dict[int, dict[str, int]] = {}
         self.results: dict[int, tuple] = {}
+        #: index charged -> (exception, traceback) of a task that raised
+        self.failed: dict[int, tuple] = {}
         self.running: dict = {}  # connection -> (index charged, task)
         self.workers: list = []  # (process, connection)
         fork = multiprocessing.get_context("fork")
@@ -579,7 +583,7 @@ class _SweepPool(VerifyContext):
                 proc.start()
                 self.workers.append((proc, conn))
                 child.close()
-                # before any task is sent, so a stage-2 pool joins it too
+                # before any task is sent, so stage-2 workers join it too
                 os.setpgid(proc.pid, proc.pid)
         except BaseException:
             self.close()
@@ -630,8 +634,8 @@ class _SweepPool(VerifyContext):
             ok, result = conn.recv()
             n, (kind, idx) = self.running.pop(conn)
             if not ok:
-                exc, trace = result
-                raise exc from RuntimeError(f"in a sweep worker:\n{trace}")
+                self.failed[n] = result
+                continue
             if kind == "index":
                 self.results[idx] = result
                 self.remember(idx, result[0])
@@ -649,6 +653,10 @@ class _SweepPool(VerifyContext):
         if n % 2 == 0 or n < 3:
             return super().verdict(n, pell_n)
         while n not in self.results:
+            if n in self.failed:
+                # raised only now, so every lower index is reported first
+                exc, trace = self.failed.pop(n)
+                raise exc from RuntimeError(f"in a sweep worker:\n{trace}")
             self._start()
             self._collect()
         verdict, seed_units, decide_units = self.results.pop(n)

@@ -2,8 +2,10 @@ import math
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from itertools import compress
 
 import pytest
@@ -260,6 +262,96 @@ def test_rho_collision_starts_the_next_attempt(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# p-1 stage 1
+
+
+def stage1_exponent(b1):
+    """The product of the maximal prime powers <= b1, built independently
+    as lcm(1, ..., b1)."""
+    return math.lcm(*range(1, b1 + 1))
+
+
+@pytest.mark.parametrize("b1", [2, 9, 100, 10**4])
+@pytest.mark.parametrize("bits", [1, 64, 1 << 15])
+def test_stage1_chunks_multiply_to_the_exponent(monkeypatch, b1, bits):
+    monkeypatch.setattr(arith, "_STAGE1_CHUNK_BITS", bits)
+    chunks = arith._stage1_chunks(b1)
+    assert math.prod(chunk for _, chunk in chunks) == stage1_exponent(b1)
+    assert all(math.prod(powers) == chunk for powers, chunk in chunks)
+    assert all(chunk.bit_length() >= bits for _, chunk in chunks[:-1])
+    # one power per prime, in ascending prime order
+    spf = smallest_factor_sieve(b1)
+    bases = [spf[pk] for powers, _ in chunks for pk in powers]
+    assert bases == [p for p in range(2, b1 + 1) if spf[p] == p]
+
+
+# p - 1 = (prime powers <= 100) * q; see the stage-2 tests below
+P_12011 = 30600 * 12011 + 1     # 30600 = 2^3 3^2 5^2 17
+P_12011_B = 31008 * 12011 + 1   # 31008 = 2^5 3 17 19
+P_9137 = 30576 * 9137 + 1       # 30576 = 2^4 3 7^2 13
+P_9161 = 30590 * 9161 + 1       # 30590 = 2 5 7 19 23
+R_1000003 = 30360 * 1000003 + 1     # q beyond every b1 and b2 below
+R_1000033 = 31920 * 1000033 + 1
+
+
+@pytest.mark.parametrize("bits", [256, 1 << 15])
+def test_pm1_stage1_residue_is_the_whole_power(monkeypatch, bits):
+    # no chunk's gcd exceeds 1, so stage 2 gets 2^E mod n
+    monkeypatch.setattr(arith, "_STAGE1_CHUNK_BITS", bits)
+    n, b1 = R_1000003 * R_1000033, 10**4
+    meter = WorkMeter(10**9)
+    assert arith._pm1_stage1(n, b1, meter) == (
+        None, pow(2, stage1_exponent(b1), n))
+    assert meter.used == sum(chunk.bit_length() // 2 + 1
+                             for _, chunk in arith._stage1_chunks(b1))
+
+
+@pytest.mark.parametrize("bits", [256, 1 << 15])
+def test_pm1_stage1_replay_splits_two_smooth_primes(monkeypatch, bits):
+    # p - 1 and q - 1 are both 10^4-smooth, so 2^E - 1 is divisible by n
+    # itself; the replay finds p at the prime 9137, before 9161 ends q
+    monkeypatch.setattr(arith, "_STAGE1_CHUNK_BITS", bits)
+    n, b1 = P_9137 * P_9161, 10**4
+    assert math.gcd(pow(2, stage1_exponent(b1), n) - 1, n) == n
+    assert arith._pm1_stage1(n, b1, WorkMeter(10**9)) == (P_9137, 0)
+    f = factor(n, FactorPolicy(trial_bound=100, rho_budget_ms=1,
+                               pm1_b1=b1, pm1_b2=0))
+    assert f.primes() == (P_9137, P_9161)
+
+
+def test_pm1_stage1_one_power_reaching_n_goes_on_to_rho(monkeypatch):
+    # both primes end at the prime power 12011, so no replay splits n
+    n, b1 = P_12011 * P_12011_B, 13_000
+    assert math.gcd(pow(2, stage1_exponent(b1), n) - 1, n) == n
+    assert arith._pm1_stage1(n, b1, WorkMeter(10**9)) == (None, 0)
+    calls = _scripted_rho(monkeypatch, [P_12011])
+
+    def no_stage2(*args):
+        raise AssertionError("stage 2 has no residue to walk")
+
+    monkeypatch.setattr(arith, "_pm1_stage2", no_stage2)
+    policy = FactorPolicy(pm1_b1=b1, pm1_b2=20_000)
+    assert arith._find_divisor(n, policy, WorkMeter(10**9)) == P_12011
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("n,b1", [
+    (R_1000003 * R_1000033, 10**4),     # no hit
+    (P_9137 * R_1000003, 10**4),        # a chunk's gcd splits n
+    (P_9137 * P_9161, 10**4),           # the replay splits n
+    (P_12011 * P_12011_B, 13_000),      # the replay reaches n
+])
+def test_pm1_stage1_units_are_repeatable(monkeypatch, n, b1):
+    monkeypatch.setattr(arith, "_STAGE1_CHUNK_BITS", 256)
+    meters = [WorkMeter(10**9) for _ in range(3)]
+    results = {arith._pm1_stage1(n, b1, meter) for meter in meters}
+    assert len(results) == 1
+    assert len({meter.used for meter in meters}) == 1
+    assert meters[0].by_stage == {**dict.fromkeys(STAGES, 0),
+                                  "pm1_stage1": meters[0].used}
+
+
+# ---------------------------------------------------------------------------
 # p-1 stage 2 and its segment sieve
 
 
@@ -307,15 +399,6 @@ def reference_stage2(n, h, b1, b2, segment):
             return None, units
         lo = hi
     return None, units
-
-
-# p - 1 = (prime powers <= 100) * q
-P_12011 = 30600 * 12011 + 1     # 30600 = 2^3 3^2 5^2 17
-P_12011_B = 31008 * 12011 + 1   # 31008 = 2^5 3 17 19
-P_9137 = 30576 * 9137 + 1       # 30576 = 2^4 3 7^2 13
-P_9161 = 30590 * 9161 + 1       # 30590 = 2 5 7 19 23
-R_1000003 = 30360 * 1000003 + 1     # q beyond every b2 below
-R_1000033 = 31920 * 1000033 + 1
 
 
 @pytest.mark.parametrize("n,b1,expected", [
@@ -378,6 +461,59 @@ def test_pm1_stage2_inside_a_daemonic_process(monkeypatch):
     monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 3000)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.map_async(_stage2_hit, [0]).get(timeout=60) == [P_12011]
+
+
+def test_pm1_stage2_workers_end_despite_a_sigterm_handler(monkeypatch,
+                                                          tmp_path):
+    # the caller's Python SIGTERM handler is inherited by the workers; a
+    # worker still walking a segment after the hit must end all the same,
+    # without running that handler
+    log = tmp_path / "sigterm.txt"
+    walk = arith._stage2_segment
+
+    def first_hits_rest_hang(n, h, b2, bounds):
+        if bounds[0] == 100:
+            return walk(n, h, b2, bounds)
+        time.sleep(60)
+
+    def handler(signum, frame):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+    monkeypatch.setattr(arith, "_stage2_segment", first_hits_rest_hang)
+    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
+    monkeypatch.setattr(arith, "_stage2_workers", lambda: 2)
+    n = P_12011 * R_1000003
+    _, h = arith._pm1_stage1(n, 100, WorkMeter(10**9))
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        t0 = time.monotonic()
+        found = arith._pm1_stage2(n, h, 100, 40_000, WorkMeter(10**9))
+        elapsed = time.monotonic() - t0
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert found == P_12011
+    assert multiprocessing.active_children() == []
+    assert not log.exists()
+    assert elapsed < 30
+
+
+def test_pm1_stage2_worker_that_exits_is_an_error(monkeypatch):
+    walk = arith._stage2_segment
+
+    def first_exits(n, h, b2, bounds):
+        if bounds[0] == 100:
+            os._exit(3)
+        return walk(n, h, b2, bounds)
+
+    monkeypatch.setattr(arith, "_stage2_segment", first_exits)
+    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
+    monkeypatch.setattr(arith, "_stage2_workers", lambda: 2)
+    n = P_12011 * R_1000003
+    _, h = arith._pm1_stage1(n, 100, WorkMeter(10**9))
+    with pytest.raises(RuntimeError, match="stage-2 worker exited"):
+        arith._pm1_stage2(n, h, 100, 40_000, WorkMeter(10**9))
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -7,6 +7,17 @@ factorization is a pure function of (N, policy) -- wall-clock jitter can
 never flip a result, which keeps whole verification reports byte-identical
 across runs with the same seed.
 
+Trial division takes one gcd per block of 128 consecutive primes up to
+the trial bound (each block's product is built once per bound) and scans
+a block prime by prime only when its gcd with what is left of n exceeds
+1, so it finds the same primes in the same order as dividing by each
+prime in turn, and it stops at the first block whose least prime squared
+exceeds what is left.  Primality is deterministic Miller-Rabin below
+psi_13 ~ 3.3e24, with the first k prime bases for n below psi_k, the
+least strong pseudoprime to those k bases; above psi_13 it takes 64
+rounds with bases hashed from n.  Neither the block length nor the base
+tiers have a setting.
+
 The splitting pipeline for a stubborn composite is, in order of cost:
 perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
 pow()), Brent-cycle rho, and p-1 stage 2, a baby-step/giant-step walk
@@ -29,6 +40,7 @@ deliberately out of scope.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import math
@@ -44,16 +56,32 @@ from typing import Callable, Iterator, Optional
 #: be fixed, not accurate, for results to be reproducible.
 UNITS_PER_MS = 3000
 
-# Deterministic Miller-Rabin witness set: correct for all N below this
-# bound (first 13 primes as bases).
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin: below _MR_PSI[k - 1] the first k bases of
+# _MR_BASES decide primality.  _MR_PSI[k - 1] is psi_k, the least strong
+# pseudoprime to the first k prime bases (OEIS A014233; Jaeschke 1993).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 _MR_RANDOM_ROUNDS = 64
 
-_SMALL_PRIME_SCREEN = (
+_SMALL_PRIME_SCREEN = frozenset((
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97,
-)
+))
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIME_SCREEN)
 
 
 class BudgetExhausted(Exception):
@@ -194,25 +222,24 @@ def _hashed_bases(n: int, count: int) -> Iterator[int]:
 def is_probable_prime(n: int) -> bool:
     """Primality test; never reports a prime as composite.
 
-    Deterministic (fixed witness set) for n below ~3.3e24; beyond that,
-    64 Miller-Rabin rounds with bases derived from a hash of n, so the
-    answer is reproducible and the error probability is below 4**-64.
+    Deterministic for n below psi_13 ~ 3.3e24, with the first k bases of
+    _MR_BASES for n < psi_k; beyond that, 64 Miller-Rabin rounds with
+    bases derived from a hash of n, so the answer is reproducible and the
+    error probability is below 4**-64.
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIME_SCREEN:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
+        return n in _SMALL_PRIME_SCREEN
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
     bases: Iterator[int] | tuple[int, ...]
-    if n < _MR_DETERMINISTIC_BOUND:
-        bases = _MR_BASES
+    k = bisect.bisect_right(_MR_PSI, n)
+    if k < len(_MR_PSI):
+        bases = _MR_BASES[:k + 1]
     else:
         bases = _hashed_bases(n, _MR_RANDOM_ROUNDS)
     return all(_miller_rabin_round(n, a, d, s) for a in bases)
@@ -237,10 +264,29 @@ def small_primes(bound: int) -> list[int]:
         for p in range(2, math.isqrt(bound) + 1):
             if bs[p]:
                 start = p * p
-                bs[start::p] = b"\x00" * ((bound - start) // p + 1)
-        primes = [i for i in range(2, bound + 1) if bs[i]]
+                bs[start::p] = bytes((bound - start) // p + 1)
+        primes = list(compress(range(bound + 1), bs))
     _sieve_cache[bound] = primes
     return primes
+
+
+#: Trial division takes one gcd per block of this many consecutive primes.
+_TRIAL_BLOCK = 128
+
+_trial_product_cache: dict[int, list[int]] = {}
+
+
+def _trial_products(bound: int) -> list[int]:
+    """The products of the blocks of small_primes(bound), cached per bound.
+    Block i is small_primes(bound)[i * _TRIAL_BLOCK:(i + 1) * _TRIAL_BLOCK]
+    (the last may be shorter)."""
+    products = _trial_product_cache.get(bound)
+    if products is None:
+        primes = small_primes(bound)
+        products = [math.prod(primes[lo:lo + _TRIAL_BLOCK])
+                    for lo in range(0, len(primes), _TRIAL_BLOCK)]
+        _trial_product_cache[bound] = products
+    return products
 
 
 #: _segment_sieve clears at most this many flags per slice assignment, so
@@ -663,16 +709,25 @@ def factor(n: int, policy: FactorPolicy = FactorPolicy(), *,
     budget_dead = False
     if not stopped and remaining > 1:
         bound = policy.trial_bound
+        primes = small_primes(bound)
         try:
-            meter.charge(len(small_primes(bound)) // 8 + 1, "trial")
+            meter.charge(len(primes) // 8 + 1, "trial")
         except BudgetExhausted:
             budget_dead = True
         if not budget_dead:
-            for p in small_primes(bound):
-                if p * p > remaining:
+            starts = range(0, len(primes), _TRIAL_BLOCK)
+            for lo, product in zip(starts, _trial_products(bound)):
+                if primes[lo] * primes[lo] > remaining:
                     break
-                if remaining % p == 0 and record(p):
-                    stopped = True
+                if math.gcd(remaining, product) == 1:
+                    continue  # no prime of this block divides remaining
+                for p in islice(primes, lo, lo + _TRIAL_BLOCK):
+                    if p * p > remaining:
+                        break
+                    if remaining % p == 0 and record(p):
+                        stopped = True
+                        break
+                if stopped:
                     break
             if not stopped and 1 < remaining < (bound + 1) ** 2:
                 # every prime factor left exceeds bound, so a composite

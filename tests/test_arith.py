@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ import pellcheck
 from pellcheck import arith
 from pellcheck.arith import (
     STAGES,
+    UNITS_PER_MS,
     BudgetExhausted,
     FactorPolicy,
     Factorization,
@@ -86,6 +88,44 @@ def test_primality_large_values():
     big = 10**30 + 57      # prime (verified by independent software)
     assert is_probable_prime(big)
     assert not is_probable_prime(big * big)
+
+
+def strong_probable_prime(n, a):
+    """n passes the strong Fermat test to base a (written out here, with
+    no pellcheck code)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_each_psi_fools_its_bases_and_is_reported_composite():
+    # psi_k passes the strong test to the first k prime bases, so below it
+    # k bases suffice and at it they do not: is_probable_prime must use
+    # k + 1 bases (or more) for n == psi_k
+    sympy = pytest.importorskip("sympy")
+    bases = [p for p in range(2, 42) if sympy.isprime(p)]
+    assert len(arith._MR_PSI) == len(bases) == 13
+    for k, psi in enumerate(arith._MR_PSI, 1):
+        assert not sympy.isprime(psi), k
+        assert all(strong_probable_prime(psi, a) for a in bases[:k]), k
+        assert not is_probable_prime(psi), k
+
+
+def test_primality_agrees_with_sympy_near_each_psi_and_below_1e12():
+    sympy = pytest.importorskip("sympy")
+    values = list(range(10**12 - 20_000, 10**12 + 1))
+    for psi in arith._MR_PSI:
+        values.extend(range(psi - 2_000, psi + 2_001))
+    for n in values:
+        assert is_probable_prime(n) == sympy.isprime(n), n
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +247,204 @@ def test_factor_stage_units_sum_to_used():
     assert set(meter.by_stage) == set(STAGES)
     assert sum(meter.by_stage.values()) == meter.used
     assert all(meter.by_stage[s] > 0 for s in ("trial", "pm1_stage1", "rho"))
+
+
+# ---------------------------------------------------------------------------
+# trial division by blocks of primes, against a prime-by-prime reference
+
+
+@functools.lru_cache(maxsize=None)
+def reference_primes(bound):
+    return list(compress(range(bound + 1), sieve_is_prime(bound)))
+
+
+def reference_factor(n, bound, units, on_prime):
+    """What factor() must give when trial division is all it does: divide
+    by each prime <= bound in turn until p*p exceeds what is left, take a
+    remainder below (bound + 1)**2 as prime, and otherwise keep a prime
+    remainder (sympy says which) or leave it as the cofactor.  The trial
+    charge is len(primes) // 8 + 1 units, and nothing is divided when it
+    exceeds `units`.  Returns (factors, cofactor, on_prime calls,
+    units by stage)."""
+    sympy = pytest.importorskip("sympy")
+    primes = reference_primes(bound)
+    by_stage = dict.fromkeys(STAGES, 0)
+    found, calls = {}, []
+    rem = n
+
+    def take(p):
+        nonlocal rem
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        found[p] = e
+        calls.append((p, e))
+        return on_prime(p, e)
+
+    stopped = False
+    if rem > 1:
+        by_stage["trial"] = len(primes) // 8 + 1
+        if by_stage["trial"] <= units:
+            for p in primes:
+                if p * p > rem:
+                    break
+                if rem % p == 0 and take(p):
+                    stopped = True
+                    break
+            if not stopped and 1 < rem < (bound + 1) ** 2:
+                stopped = take(rem)
+    if not stopped and rem > 1 and sympy.isprime(rem):
+        take(rem)
+    return tuple(sorted(found.items())), rem, calls, by_stage
+
+
+def lehmer_stop(n):
+    """The early stop lehmer_check uses: a square or a witness prime."""
+    return lambda p, e: e >= 2 or (n - 1) % (p - 1) != 0
+
+
+def assert_trial_matches_reference(values, policy, stop=None, units=None):
+    """factor() under `policy`, with the splitting pipeline stubbed out,
+    gives the reference's factors, on_prime calls and units, for each n."""
+    if units is None:
+        units = policy.max_total_ms * UNITS_PER_MS
+    for n in values:
+        rule = stop(n) if stop else (lambda p, e: False)
+        calls = []
+
+        def on_prime(p, e):
+            calls.append((p, e))
+            return rule(p, e)
+
+        meter = WorkMeter(units)
+        f = factor(n, policy, on_prime=on_prime, meter=meter)
+        expected = reference_factor(n, policy.trial_bound, units, rule)
+        assert (f.factors, f.cofactor, calls, meter.by_stage) == expected, n
+
+
+@pytest.fixture
+def no_splitting(monkeypatch):
+    """Composites left after trial division stay in the cofactor."""
+    monkeypatch.setattr(arith, "_find_divisor", lambda n, policy, meter: None)
+
+
+@pytest.mark.parametrize("policy,stop", [
+    (FactorPolicy(), None),
+    (TINY_POLICY, lehmer_stop),   # bound 100: one block of 25 primes
+], ids=["default-all", "tiny-lehmer"])
+def test_trial_blocks_match_reference_below_2e5(no_splitting, policy, stop):
+    assert_trial_matches_reference(range(1, 2 * 10**5), policy, stop)
+
+
+def test_trial_blocks_match_reference_below_1e12(no_splitting):
+    # lehmer-range's traffic: consecutive candidates just below 10^12
+    assert_trial_matches_reference(range(10**12 - 2_000, 10**12),
+                                   FactorPolicy(), lehmer_stop)
+
+
+def block_edges():
+    """(first, last) prime of every block of the default trial bound."""
+    primes = reference_primes(FactorPolicy().trial_bound)
+    size = arith._TRIAL_BLOCK
+    return [(primes[i], primes[min(i + size, len(primes)) - 1])
+            for i in range(0, len(primes), size)]
+
+
+def test_trial_blocks_match_reference_at_block_edges(no_splitting):
+    sympy = pytest.importorskip("sympy")
+    edges = block_edges()
+    assert len(edges) == 614 and edges[-1][1] == 999_983  # 34 in the last
+    values = []
+    for first, last in edges[:3] + edges[300:302] + edges[-2:]:
+        for p in (first, last):
+            q = sympy.nextprime(p)
+            values += [p * p, p * q, 3 * p * q, p * sympy.nextprime(10**6),
+                       first * last]
+            if p > 2:
+                values.append(sympy.prevprime(p) * p)
+    assert_trial_matches_reference(values, FactorPolicy())
+    assert_trial_matches_reference(values, FactorPolicy(), lehmer_stop)
+
+
+def test_trial_stops_inside_a_block(no_splitting):
+    n = 3 * 5 * 7 * 11 * 13
+    for stop_at in (3, 7, 13):
+        assert_trial_matches_reference(
+            [n], FactorPolicy(), lambda m: lambda p, e, s=stop_at: p == s)
+    f = factor(n, FactorPolicy(), on_prime=lambda p, e: p == 7)
+    assert f.factors == ((3, 1), (5, 1), (7, 1)) and f.cofactor == 143
+    # the stop comes in the second block, before its last hit
+    first, _ = block_edges()[1]
+    n = 3 * first * 1019 * 1021
+    f = factor(n, FactorPolicy(), on_prime=lambda p, e: p == 1019)
+    assert f.factors == ((3, 1), (first, 1), (1019, 1))
+    assert f.cofactor == 1021
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_trial_bounds_two_and_three(no_splitting, bound):
+    policy = FactorPolicy(trial_bound=bound, pm1_b1=0, pm1_b2=0)
+    assert_trial_matches_reference(range(1, 5_000), policy)
+    assert_trial_matches_reference(range(1, 5_000), policy, lehmer_stop)
+
+
+def test_trial_square_past_the_bound_goes_to_splitting(monkeypatch):
+    # 101^2 == (100 + 1)^2 is not taken for a prime under bound 100
+    split = []
+
+    def spy(n, policy, meter):
+        split.append(n)
+        return None
+
+    monkeypatch.setattr(arith, "_find_divisor", spy)
+    f = factor(101 * 101, TINY_POLICY)
+    assert split == [101 * 101]
+    assert f.factors == () and f.cofactor == 101 * 101
+
+
+def test_trial_budget_exhausted_at_the_charge(no_splitting):
+    values = [1, 2, 97, 101, 10201, 2 * 3 * 5, 10**12 - 11, 999_983 ** 2]
+    for policy in (TINY_POLICY, FactorPolicy()):
+        charge = len(reference_primes(policy.trial_bound)) // 8 + 1
+        for units in (charge - 1, charge):
+            assert_trial_matches_reference(values, policy, units=units)
+            assert_trial_matches_reference(values, policy, lehmer_stop,
+                                           units=units)
+
+
+def test_block_gcd_reads_the_current_remaining(monkeypatch):
+    # each block's gcd is taken on what is left after the primes recorded
+    # so far, not on n or an earlier remainder
+    sympy = pytest.importorskip("sympy")
+    events = []
+
+    class SpyMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def gcd(self, a, b):
+            events.append(("gcd", a))
+            return math.gcd(a, b)
+
+    def on_prime(p, e):
+        events.append(("prime", p ** e))
+        return False
+
+    monkeypatch.setattr(arith, "math", SpyMath())
+    big = sympy.nextprime(10**12)
+    n = 3 * 3 * 7919 * 999_983 * big
+    f = factor(n, FactorPolicy(), on_prime=on_prime)
+    assert f.factors == ((3, 2), (7919, 1), (999_983, 1), (big, 1))
+    remaining = n
+    gcds = 0
+    for kind, value in events:
+        if kind == "prime":
+            remaining //= value
+        else:
+            assert value == remaining
+            gcds += 1
+    assert gcds >= len(block_edges())
 
 
 def test_brent_rho_tells_collision_from_exhaustion():
@@ -637,3 +875,9 @@ def test_small_primes():
     assert small_primes(1) == []
     assert small_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(small_primes(10**6)) == 78498
+    # against trial division by every smaller number, for each bound
+    primes = []
+    for bound in range(2_001):
+        if bound >= 2 and all(bound % d for d in range(2, bound)):
+            primes.append(bound)
+        assert small_primes(bound) == primes, bound

@@ -203,7 +203,7 @@ def _stage_units(units: dict[str, int]) -> str:
 
 def _print_progress(r) -> None:
     print(f"n={r.n}: {r.verdict.status.value}/{r.verdict.reason.value} "
-          f"({r.elapsed_ms:.0f} ms) seed{_stage_units(r.seed_stage_units)} "
+          f"({r.elapsed_ms:.0f} ms) "
           f"decide{_stage_units(r.decide_stage_units)}", file=sys.stderr)
 
 

@@ -1,8 +1,8 @@
 """Theorem-level verification: the finite index sweep and the bound chain.
 
 `verify_range` reproduces the finite machine check (every Pell number up
-to an index bound is screened for the Lehmer property, with factor
-evidence harvested structurally before any expensive splitting), while
+to an index bound is screened for the Lehmer property, seeded with the
+primes of P_d for the proper divisors d of n before any splitting), while
 `bound_chain`, `final_threshold` and `e8_threshold_check` evaluate the
 asymptotic inequalities with certified interval arithmetic.  Reports are
 deterministic: identical inputs, budgets and seed give byte-identical
@@ -340,7 +340,8 @@ class FactorCache:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                n, f = self._parse_line(line)
+                with big_int_strings():
+                    n, f = self._parse_line(line)
             except (ValueError, OverflowError) as exc:
                 # UnicodeDecodeError is a ValueError
                 self.rejected.append(f"line {lineno}: {exc}")
@@ -354,13 +355,14 @@ class FactorCache:
         if path is None:
             raise ValueError("no cache path configured")
         lines = []
-        for n in sorted(self.entries):
-            f = self.entries[n]
-            parts = [str(n)]
-            parts.extend(f"{p}^{e}" for p, e in f.factors)
-            parts.append(f"cofactor={f.cofactor}")
-            parts.append(f"complete={1 if f.complete else 0}")
-            lines.append(" ".join(parts))
+        with big_int_strings():
+            for n in sorted(self.entries):
+                f = self.entries[n]
+                parts = [str(n)]
+                parts.extend(f"{p}^{e}" for p, e in f.factors)
+                parts.append(f"cofactor={f.cofactor}")
+                parts.append(f"complete={1 if f.complete else 0}")
+                lines.append(" ".join(parts))
         # a temp file in the same directory, renamed over the old file, so
         # that a failed or interrupted write leaves the old file intact
         fd, tmp = tempfile.mkstemp(
@@ -378,22 +380,6 @@ class FactorCache:
 
 # ---------------------------------------------------------------------------
 # per-index verification
-
-_DIVISOR_CANDIDATE_CAP = 4096
-
-
-def _bounded_divisors(powers: dict[int, int], cap: int) -> list[int]:
-    """Divisors of prod(p**e), deterministically capped to the cap smallest."""
-    divs = [1]
-    for p in sorted(powers):
-        block = []
-        for d in divs:
-            v = d
-            for _ in range(powers[p] + 1):
-                block.append(v)
-                v *= p
-        divs = sorted(block)[:cap]
-    return divs
 
 
 def _evidence(verdict: LehmerVerdict) -> Optional[Factorization]:
@@ -418,7 +404,6 @@ class VerifyContext:
             pm1_b2=0,
         )
         self.pell_known: dict[int, Factorization] = {}
-        self.q_known: dict[int, Factorization] = {}
         #: work units spent on seeding so far, per stage
         self.seed_units = dict.fromkeys(STAGES, 0)
 
@@ -436,13 +421,6 @@ class VerifyContext:
             self.pell_known[idx] = hit
         return hit
 
-    def q_factors(self, idx: int) -> Factorization:
-        hit = self.q_known.get(idx)
-        if hit is None:
-            hit = self._budgeted_factor(pell_pair(idx).q)
-            self.q_known[idx] = hit
-        return hit
-
     def remember(self, n: int, verdict: LehmerVerdict) -> None:
         f = _evidence(verdict)
         if f is None:
@@ -450,29 +428,18 @@ class VerifyContext:
         current = self.pell_known.get(n)
         self.pell_known[n] = f if current is None else _better(f, current)
 
-    def seeds_for(self, n: int, pell_n: int) -> tuple[int, ...]:
-        """Primes known to divide P_n before any direct factoring effort.
+    def seeds_for(self, n: int) -> tuple[int, ...]:
+        """The primes of P_d for the proper divisors d of n, ascending.
 
-        Two structural sources: factors of P_d for proper divisors d of n
-        (P_d divides P_n), and divisor-plus-one candidates built from the
-        factored parts of P_n - 1 (any prime p with (p-1) | (P_n - 1) that
-        divides P_n is a legitimate harvest; witnesses can never surface
-        here, by construction, but square factors and full factorizations
-        can).
+        P_d divides P_n, so these primes divide P_n.  A divisor whose
+        evidence is not yet known is factored under the seeding budget.
+        The split P_n - 1 = P_a * Q_b offers no further seeds worth
+        their cost: a prime c with (c - 1) | (P_n - 1) can never be the
+        witness that rejects P_n.
         """
         seeds: set[int] = set()
         for d in _proper_divisors(n):
             seeds.update(self.pell_factors(d).primes())
-        if n % 2 == 1 and n >= 3:
-            p_index, q_index = split_indices(n)
-            powers: dict[int, int] = {}
-            for p, e in (self.pell_factors(p_index).factors
-                         + self.q_factors(q_index).factors):
-                powers[p] = powers.get(p, 0) + e
-            for d in _bounded_divisors(powers, _DIVISOR_CANDIDATE_CAP):
-                c = d + 1
-                if 1 < c < pell_n and pell_n % c == 0 and is_probable_prime(c):
-                    seeds.add(c)
         return tuple(sorted(seeds))
 
     def verdict(self, n: int, pell_n: int) -> tuple[LehmerVerdict,
@@ -484,7 +451,7 @@ class VerifyContext:
         by stage; the verdict's evidence is remembered for later indices.
         """
         seed_units_before = dict(self.seed_units)
-        seeds = self.seeds_for(n, pell_n) if n % 2 == 1 and pell_n > 1 else ()
+        seeds = self.seeds_for(n) if n % 2 == 1 else ()
         meter = WorkMeter(self.policy.max_total_ms * UNITS_PER_MS)
         verdict = lehmer_check(pell_n, self.policy, seeds=seeds, meter=meter)
         self.remember(n, verdict)
@@ -493,25 +460,13 @@ class VerifyContext:
         return verdict, seed_units, dict(meter.by_stage)
 
 
-def _sweep_task(policy: FactorPolicy, task: tuple[str, int],
-                pell_known: dict[int, Factorization],
-                q_known: dict[int, Factorization]):
-    """One task of a pooled sweep, run in a worker with the factor
-    knowledge it reads.
-
-    ("P", a) and ("Q", b) factor P_a and Q_b under the seeding budget and
-    return (factorization, seed units); ("index", n) seeds and decides P_n
-    and returns what VerifyContext.verdict returns.
-    """
+def _sweep_task(policy: FactorPolicy, n: int,
+                pell_known: dict[int, Factorization]):
+    """Seed and decide P_n in a sweep worker, given the evidence of n's
+    proper divisors; returns what VerifyContext.verdict returns."""
     context = VerifyContext(policy)
     context.pell_known.update(pell_known)
-    context.q_known.update(q_known)
-    kind, idx = task
-    if kind == "P":
-        return context.pell_factors(idx), context.seed_units
-    if kind == "Q":
-        return context.q_factors(idx), context.seed_units
-    return context.verdict(idx, pell_pair(idx).p)
+    return context.verdict(n, pell_pair(n).p)
 
 
 def _serve(conn) -> None:
@@ -535,16 +490,13 @@ class _SweepPool(VerifyContext):
     """A VerifyContext that seeds and decides the odd indices 3..n_max on
     forked worker processes.
 
-    The tasks are the budgeted factorizations of the P_a (even a > 2) and
-    Q_b that the splits P_n - 1 = P_a * Q_b read, each computed once, and
-    each odd index's seeding and decision, which reads the evidence of its
-    odd proper divisors and its split halves.  Every task depends only on
-    lower indices.  Tasks start in index order, each as soon as a worker is
-    idle and what it reads is known.  A factorization's units are charged
-    to the lowest index that reads it, as the serial memo charges them, so
-    every verdict and unit count is that of an in-process sweep.  A task
-    that raises is raised again when the sweep reaches the index it is
-    charged to, so every lower index is reported first, as in-process.
+    Each odd index is one task, which reads the verdicts of its odd
+    proper divisors.  Tasks start in index order, each as soon as a worker
+    is idle and those verdicts are known, so a task seeds from exactly the
+    evidence an in-process sweep holds for its divisors, factors nothing
+    to seed, and gives the verdict and units of an in-process sweep.  A
+    task that raises is raised again when the sweep reaches its index, so
+    every lower index is reported first, as in-process.
     The workers are not daemonic, so p-1 stage 2 inside them still forks
     its own workers.  Each worker leads its own process group, and close()
     kills each group: the worker and any stage-2 workers it runs end at
@@ -556,24 +508,13 @@ class _SweepPool(VerifyContext):
         import multiprocessing
 
         super().__init__(policy)
-        #: (index charged, task, pell indices read, Q indices read)
-        self.pending: list[tuple[int, tuple[str, int], tuple[int, ...],
-                                 tuple[int, ...]]] = []
-        listed = set()
-        for n in range(3, n_max + 1, 2):
-            a, b = split_indices(n)
-            for task in (("P", a), ("Q", b)):
-                # P_2 = 2 is prime, so index 2's verdict already carries it
-                if task != ("P", 2) and task not in listed:
-                    listed.add(task)
-                    self.pending.append((n, task, (), ()))
-            self.pending.append((n, ("index", n),
-                                 (*_proper_divisors(n), a), (b,)))
-        self.charged: dict[int, dict[str, int]] = {}
+        #: (index, the proper divisors whose verdicts it reads)
+        self.pending = [(n, _proper_divisors(n))
+                        for n in range(3, n_max + 1, 2)]
         self.results: dict[int, tuple] = {}
-        #: index charged -> (exception, traceback) of a task that raised
+        #: index -> (exception, traceback) of a task that raised
         self.failed: dict[int, tuple] = {}
-        self.running: dict = {}  # connection -> (index charged, task)
+        self.running: dict = {}  # connection -> index
         self.workers: list = []  # (process, connection)
         fork = multiprocessing.get_context("fork")
         try:
@@ -608,17 +549,15 @@ class _SweepPool(VerifyContext):
         for _, conn in self.workers:
             if conn in self.running:
                 continue
-            for i, (n, task, reads_p, reads_q) in enumerate(self.pending):
-                if (all(d in self.pell_known for d in reads_p)
-                        and all(b in self.q_known for b in reads_q)):
+            for i, (n, reads) in enumerate(self.pending):
+                if all(d in self.pell_known for d in reads):
                     break
             else:
                 return
             del self.pending[i]
-            conn.send((self.policy, task,
-                       {d: self.pell_known[d] for d in reads_p},
-                       {b: self.q_known[b] for b in reads_q}))
-            self.running[conn] = (n, task)
+            conn.send((self.policy, n,
+                       {d: self.pell_known[d] for d in reads}))
+            self.running[conn] = n
 
     def _collect(self) -> None:
         """Wait for running tasks to finish and record their results."""
@@ -632,19 +571,12 @@ class _SweepPool(VerifyContext):
             raise RuntimeError("a sweep worker exited")
         for conn in done:
             ok, result = conn.recv()
-            n, (kind, idx) = self.running.pop(conn)
+            n = self.running.pop(conn)
             if not ok:
                 self.failed[n] = result
                 continue
-            if kind == "index":
-                self.results[idx] = result
-                self.remember(idx, result[0])
-                continue
-            factors, units = result
-            (self.pell_known if kind == "P" else self.q_known)[idx] = factors
-            charged = self.charged.setdefault(n, dict.fromkeys(STAGES, 0))
-            for stage, u in units.items():
-                charged[stage] += u
+            self.results[n] = result
+            self.remember(n, result[0])
 
     def verdict(self, n: int, pell_n: int) -> tuple[LehmerVerdict,
                                                      dict[str, int],
@@ -659,10 +591,7 @@ class _SweepPool(VerifyContext):
                 raise exc from RuntimeError(f"in a sweep worker:\n{trace}")
             self._start()
             self._collect()
-        verdict, seed_units, decide_units = self.results.pop(n)
-        charged = self.charged.pop(n, {})
-        return verdict, {stage: units + charged.get(stage, 0)
-                         for stage, units in seed_units.items()}, decide_units
+        return self.results.pop(n)
 
 
 def _proper_divisors(n: int) -> list[int]:

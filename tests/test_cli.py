@@ -137,9 +137,9 @@ def test_verify_verbose_progress(capsys):
     assert [line.split(":")[0] for line in lines] == [
         f"n={n}" for n in range(1, 13)]
     assert lines[3].startswith("n=4: rejected/even (")
-    # work units per stage: trial division seeds and decides P_9 = 5 * 197
-    assert lines[3].endswith(" ms) seed[] decide[]")
-    assert lines[8].endswith(" ms) seed[trial=9813] decide[trial=9813]")
+    # work units per stage: trial division decides P_9 = 5 * 197
+    assert lines[3].endswith(" ms) decide[]")
+    assert lines[8].endswith(" ms) decide[trial=9813]")
 
 
 def test_verify_starved_exits_1(capsys):

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -83,10 +84,17 @@ def test_even_indices_short_circuit():
 
 def test_seeding_soundness():
     context = VerifyContext(FAST)
-    for n in (9, 15, 21, 35):
+    for n in (9, 15, 21, 27, 35):
         p_n = pell_pair(n).p
-        for s in context.seeds_for(n, p_n):
+        seeds = context.seeds_for(n)
+        for s in seeds:
             assert p_n % s == 0, (n, s)
+        # exactly the primes of P_d for the proper divisors d of n
+        expected = set()
+        for d in range(2, n):
+            if n % d == 0:
+                expected.update(context.pell_factors(d).primes())
+        assert seeds == tuple(sorted(expected)), n
 
 
 def test_elapsed_excluded_from_equality():
@@ -129,7 +137,7 @@ def test_verify_range_stage_units_sum_to_work_units():
         assert tuple(r.decide_stage_units) == STAGES
         assert (sum(r.seed_stage_units.values())
                 + sum(r.decide_stage_units.values())) == r.work_units, r.n
-    # P_43 is decided by p-1 stage 1 after seeding by trial division only
+    # P_43 is decided by p-1 stage 1; 43 is prime, so nothing seeds it
     r43 = report.indices[42]
     assert r43.decide_stage_units["pm1_stage1"] > 0
     assert r43.seed_stage_units["pm1_stage1"] == 0
@@ -154,27 +162,18 @@ def test_sweep_pool_matches_the_in_process_sweep(monkeypatch):
         assert a.decide_stage_units == b.decide_stage_units, a.n
 
 
-def test_sweep_pool_computes_each_seed_factorization_once(monkeypatch,
-                                                          tmp_path):
-    log = tmp_path / "seeded.txt"
-    budgeted = VerifyContext._budgeted_factor
+def test_sweep_factors_nothing_to_seed(monkeypatch):
+    # every index's divisors are decided before it, in either sweep, so
+    # seeding reads their verdicts and never factors
+    def refuse(self, value):
+        raise AssertionError(f"seeding factored {value}")
 
-    def logged(self, value):
-        # the workers are forked, so they log to a file
-        with open(log, "a", encoding="ascii") as fh:
-            fh.write(f"{value}\n")
-        return budgeted(self, value)
-
-    monkeypatch.setattr(VerifyContext, "_budgeted_factor", logged)
-    values = {}
+    monkeypatch.setattr(VerifyContext, "_budgeted_factor", refuse)
+    runs = {}
     for workers in (1, 2):
         monkeypatch.setattr(verifier, "_stage2_workers", lambda: workers)
-        verify_range(60, FAST)
-        values[workers] = log.read_text().split()
-        log.unlink()
-    # P_a for the even 4 <= a <= 30 and Q_b for the odd b <= 29
-    assert len(set(values[2])) == len(values[2]) == 29
-    assert sorted(values[2]) == sorted(values[1])
+        runs[workers] = verify_range(60, FAST).to_json()
+    assert runs[1] == runs[2]
 
 
 def test_sweep_pool_leaves_no_worker_when_a_task_raises(monkeypatch):
@@ -528,6 +527,22 @@ def test_cache_genuine_lines_pass_the_residue_check(tmp_path):
     assert reloaded.rejected == []
     assert reloaded.loaded == len(lines) == len(cache.entries) > 0
     assert reloaded.entries == cache.entries
+
+
+def test_cache_round_trips_values_above_the_int_str_limit(tmp_path):
+    # the cofactor P_11300 / 4 has 4,325 digits, above the 4,300 that
+    # int/str conversion allows by default
+    target = pell_pair(11300).p
+    f = Factorization(target=target, factors=((2, 2),), cofactor=target >> 2)
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "cache.txt"
+    cache = FactorCache(str(path))
+    cache.store(11300, f)
+    cache.write_file()
+    reloaded = FactorCache(str(path))
+    assert reloaded.rejected == []
+    assert reloaded.entries == {11300: f}
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_cache_product_mismatch_names_size_not_digits(tmp_path):

@@ -659,14 +659,12 @@ OnPrime = Callable[[int, int], bool]
 
 
 def factor(n: int, policy: FactorPolicy = FactorPolicy(), *,
-           seeds: tuple[int, ...] = (),
            on_prime: Optional[OnPrime] = None,
            meter: Optional[WorkMeter] = None) -> Factorization:
     """Factor n under the policy's budgets.
 
     Trial division by primes up to policy.trial_bound runs first, then the
-    splitting pipeline attacks what remains.  `seeds` are primes already
-    known to divide n (re-verified by division; a bad seed raises).
+    splitting pipeline attacks what remains.
     `on_prime` is invoked as each prime factor is confirmed, with the
     prime and its full exponent in n; returning True stops the
     factorization early, leaving whatever remains in the cofactor.
@@ -697,17 +695,8 @@ def factor(n: int, policy: FactorPolicy = FactorPolicy(), *,
         found[p] = found.get(p, 0) + e
         return on_prime is not None and on_prime(p, found[p])
 
-    for p in sorted(set(seeds)):
-        if n % p != 0:
-            raise ValueError(f"seed {p} does not divide {n}")
-        if not is_probable_prime(p):
-            raise ValueError(f"seed {p} is not prime")
-        if record(p):
-            stopped = True
-            break
-
     budget_dead = False
-    if not stopped and remaining > 1:
+    if remaining > 1:
         bound = policy.trial_bound
         primes = small_primes(bound)
         try:

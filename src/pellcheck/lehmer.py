@@ -80,13 +80,10 @@ def witness_reject(n: int, p: int) -> bool:
 
 
 def lehmer_check(n: int, policy: FactorPolicy = FactorPolicy(), *,
-                 seeds: tuple[int, ...] = (),
                  meter: Optional[WorkMeter] = None) -> LehmerVerdict:
     """Run the staged Lehmer-property check on n >= 1.
 
-    `seeds` are primes already known to divide n (e.g. harvested from
-    structure of the candidate); they are fed to the factorizer first.
-    Deterministic for fixed (n, policy, seeds).
+    Deterministic for fixed (n, policy): the check reads nothing but n.
     """
     if n < 1:
         raise ValueError("candidate must be >= 1")
@@ -108,7 +105,7 @@ def lehmer_check(n: int, policy: FactorPolicy = FactorPolicy(), *,
             return True
         return False
 
-    f = factor(n, policy, seeds=seeds, on_prime=on_prime, meter=meter)
+    f = factor(n, policy, on_prime=on_prime, meter=meter)
 
     if hit:
         reason, p = hit[0]

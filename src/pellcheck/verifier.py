@@ -1,8 +1,8 @@
 """Theorem-level verification: the finite index sweep and the bound chain.
 
 `verify_range` reproduces the finite machine check (every Pell number up
-to an index bound is screened for the Lehmer property, seeded with the
-primes of P_d for the proper divisors d of n before any splitting), while
+to an index bound is screened for the Lehmer property, each from P_n
+alone, with nothing carried from one index to another), while
 `bound_chain`, `final_threshold` and `e8_threshold_check` evaluate the
 asymptotic inequalities with certified interval arithmetic.  Reports are
 deterministic: identical inputs, budgets and seed give byte-identical
@@ -12,25 +12,22 @@ structured output.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .arith import (
-    STAGES,
     UNITS_PER_MS,
     FactorPolicy,
     Factorization,
     WorkMeter,
     _stage2_workers,
-    factor,
     is_probable_prime,
     nu2,
 )
@@ -392,125 +389,77 @@ def _evidence(verdict: LehmerVerdict) -> Optional[Factorization]:
 
 
 class VerifyContext:
-    """Shared factor knowledge across the indices of one verification run."""
+    """Decides each index in this process, from P_n alone: no state is
+    shared across indices."""
 
     def __init__(self, policy: FactorPolicy):
         self.policy = policy
-        # structural seeding never deserves deep splitting budgets
-        self.seed_policy = replace(
-            policy,
-            rho_budget_ms=min(policy.rho_budget_ms, 1000),
-            max_total_ms=min(policy.max_total_ms, 8000),
-            pm1_b2=0,
-        )
-        self.pell_known: dict[int, Factorization] = {}
-        #: work units spent on seeding so far, per stage
-        self.seed_units = dict.fromkeys(STAGES, 0)
-
-    def _budgeted_factor(self, value: int) -> Factorization:
-        meter = WorkMeter(self.seed_policy.max_total_ms * UNITS_PER_MS)
-        result = factor(value, self.seed_policy, meter=meter)
-        for stage, units in meter.by_stage.items():
-            self.seed_units[stage] += units
-        return result
-
-    def pell_factors(self, idx: int) -> Factorization:
-        hit = self.pell_known.get(idx)
-        if hit is None:
-            hit = self._budgeted_factor(pell_pair(idx).p)
-            self.pell_known[idx] = hit
-        return hit
-
-    def remember(self, n: int, verdict: LehmerVerdict) -> None:
-        f = _evidence(verdict)
-        if f is None:
-            return
-        current = self.pell_known.get(n)
-        self.pell_known[n] = f if current is None else _better(f, current)
 
     def seeds_for(self, n: int) -> tuple[int, ...]:
-        """The primes of P_d for the proper divisors d of n, ascending.
+        return ()  # perfbench/child.py wraps this method by name
 
-        P_d divides P_n, so these primes divide P_n.  A divisor whose
-        evidence is not yet known is factored under the seeding budget.
-        The split P_n - 1 = P_a * Q_b offers no further seeds worth
-        their cost: a prime c with (c - 1) | (P_n - 1) can never be the
-        witness that rejects P_n.
-        """
-        seeds: set[int] = set()
-        for d in _proper_divisors(n):
-            seeds.update(self.pell_factors(d).primes())
-        return tuple(sorted(seeds))
-
-    def verdict(self, n: int, pell_n: int) -> tuple[LehmerVerdict,
-                                                     dict[str, int],
-                                                     dict[str, int]]:
-        """Seed and decide P_n in this process.
-
-        Returns the verdict and the units spent seeding and deciding it,
-        by stage; the verdict's evidence is remembered for later indices.
-        """
-        seed_units_before = dict(self.seed_units)
-        seeds = self.seeds_for(n) if n % 2 == 1 else ()
+    def verdict(self, n: int,
+                pell_n: int) -> tuple[LehmerVerdict, dict[str, int]]:
+        """P_n's verdict, decided here, and its work units by stage."""
         meter = WorkMeter(self.policy.max_total_ms * UNITS_PER_MS)
-        verdict = lehmer_check(pell_n, self.policy, seeds=seeds, meter=meter)
-        self.remember(n, verdict)
-        seed_units = {stage: units - seed_units_before[stage]
-                      for stage, units in self.seed_units.items()}
-        return verdict, seed_units, dict(meter.by_stage)
+        verdict = lehmer_check(pell_n, self.policy, meter=meter)
+        return verdict, dict(meter.by_stage)
 
 
-def _sweep_task(policy: FactorPolicy, n: int,
-                pell_known: dict[int, Factorization]):
-    """Seed and decide P_n in a sweep worker, given the evidence of n's
-    proper divisors; returns what VerifyContext.verdict returns."""
-    context = VerifyContext(policy)
-    context.pell_known.update(pell_known)
-    return context.verdict(n, pell_pair(n).p)
-
-
-def _serve(conn) -> None:
-    """A sweep worker: run each task the caller sends and send back
+def _serve(conn, policy: FactorPolicy, inherited: list) -> None:
+    """A sweep worker: decide each index the caller sends and send back
     (True, result) or (False, (exception, its traceback)), until the
-    caller kills it."""
+    caller kills it or its end of the pipe closes.
+
+    The worker first closes the caller-side pipe ends it inherited at
+    fork, its own and those of the workers started before it, so that
+    its pipe reports EOF once the caller is gone.
+    """
     import signal
     import traceback
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops workers
+    for end in inherited:
+        end.close()
+    context = VerifyContext(policy)
     while True:
-        task = conn.recv()
         try:
-            reply = True, _sweep_task(*task)
+            n = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = True, context.verdict(n, pell_pair(n).p)
         except Exception as exc:
             reply = False, (exc, traceback.format_exc())
-        conn.send(reply)
+        try:
+            conn.send(reply)
+        except BrokenPipeError:
+            return
 
 
 class _SweepPool(VerifyContext):
-    """A VerifyContext that seeds and decides the odd indices 3..n_max on
-    forked worker processes.
+    """A VerifyContext that decides the odd indices 3..n_max on forked
+    worker processes.
 
-    Each odd index is one task, which reads the verdicts of its odd
-    proper divisors.  Tasks start in index order, each as soon as a worker
-    is idle and those verdicts are known, so a task seeds from exactly the
-    evidence an in-process sweep holds for its divisors, factors nothing
-    to seed, and gives the verdict and units of an in-process sweep.  A
-    task that raises is raised again when the sweep reaches its index, so
-    every lower index is reported first, as in-process.
+    Each odd index is one task.  Tasks start in index order, each as soon
+    as a worker is idle, and give the verdict and units of an in-process
+    sweep, since no index reads another's verdict.  A task that raises is
+    raised again when the sweep reaches its index, so every lower index
+    is reported first, as in-process.
     The workers are not daemonic, so p-1 stage 2 inside them still forks
     its own workers.  Each worker leads its own process group, and close()
     kills each group: the worker and any stage-2 workers it runs end at
-    once, with no signal handler that could miss the signal.  The workers
-    are forked, as stage 2's are, before this process starts any thread.
+    once, with no signal handler that could miss the signal.  If this
+    process dies instead, each worker returns once its current task ends.
+    The workers are forked, as stage 2's are, before this process starts
+    any thread.
     """
 
     def __init__(self, policy: FactorPolicy, n_max: int, workers: int):
         import multiprocessing
 
         super().__init__(policy)
-        #: (index, the proper divisors whose verdicts it reads)
-        self.pending = [(n, _proper_divisors(n))
-                        for n in range(3, n_max + 1, 2)]
+        self.pending = list(range(3, n_max + 1, 2))
         self.results: dict[int, tuple] = {}
         #: index -> (exception, traceback) of a task that raised
         self.failed: dict[int, tuple] = {}
@@ -520,7 +469,9 @@ class _SweepPool(VerifyContext):
         try:
             for _ in range(min(workers, len(self.pending))):
                 conn, child = fork.Pipe()
-                proc = fork.Process(target=_serve, args=(child,))
+                inherited = [c for _, c in self.workers] + [conn]
+                proc = fork.Process(target=_serve,
+                                    args=(child, policy, inherited))
                 proc.start()
                 self.workers.append((proc, conn))
                 child.close()
@@ -544,20 +495,12 @@ class _SweepPool(VerifyContext):
             conn.close()
 
     def _start(self) -> None:
-        """Give each idle worker the first task, in index order, whose
-        inputs are known."""
+        """Give each idle worker the next pending index."""
         for _, conn in self.workers:
-            if conn in self.running:
-                continue
-            for i, (n, reads) in enumerate(self.pending):
-                if all(d in self.pell_known for d in reads):
-                    break
-            else:
-                return
-            del self.pending[i]
-            conn.send((self.policy, n,
-                       {d: self.pell_known[d] for d in reads}))
-            self.running[conn] = n
+            if self.pending and conn not in self.running:
+                n = self.pending.pop(0)
+                conn.send(n)
+                self.running[conn] = n
 
     def _collect(self) -> None:
         """Wait for running tasks to finish and record their results."""
@@ -572,15 +515,13 @@ class _SweepPool(VerifyContext):
         for conn in done:
             ok, result = conn.recv()
             n = self.running.pop(conn)
-            if not ok:
+            if ok:
+                self.results[n] = result
+            else:
                 self.failed[n] = result
-                continue
-            self.results[n] = result
-            self.remember(n, result[0])
 
-    def verdict(self, n: int, pell_n: int) -> tuple[LehmerVerdict,
-                                                     dict[str, int],
-                                                     dict[str, int]]:
+    def verdict(self, n: int,
+                pell_n: int) -> tuple[LehmerVerdict, dict[str, int]]:
         """Index n's verdict and units, from the pool for odd n >= 3."""
         if n % 2 == 0 or n < 3:
             return super().verdict(n, pell_n)
@@ -592,17 +533,6 @@ class _SweepPool(VerifyContext):
             self._start()
             self._collect()
         return self.results.pop(n)
-
-
-def _proper_divisors(n: int) -> list[int]:
-    """Divisors d of n with 2 <= d < n, ascending."""
-    small, large = [], []
-    for i in range(2, math.isqrt(n) + 1):
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-    return small + large[::-1]
 
 
 @dataclass(frozen=True)
@@ -618,10 +548,7 @@ class IndexReport:
     factors_found: tuple[tuple[int, int, int], ...]  # (prime, exp, mod 4)
     work_units: int
     elapsed_ms: float = field(compare=False, default=0.0)
-    # work_units split by stage, for seeding and for deciding; kept out of
-    # the canonical report
-    seed_stage_units: dict[str, int] = field(compare=False,
-                                             default_factory=dict)
+    # work_units split by stage; kept out of the canonical report
     decide_stage_units: dict[str, int] = field(compare=False,
                                                default_factory=dict)
 
@@ -639,7 +566,9 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
     rejected on parity alone and no factor harvesting is attempted.  The
     verdict comes from context.verdict: computed here for a VerifyContext,
     or taken from verify_range's pool, waiting for it if needed, so
-    elapsed_ms is then the time this call waited.
+    elapsed_ms is then the time this call waited.  Either way the verdict
+    and work_units depend only on n and the policy, so a lone call gives
+    the entry a sweep gives for n.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
@@ -655,7 +584,7 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
         split_pell_minus_one(n)  # raises if the product fails
         split_ok = True
 
-    verdict, seed_units, decide_units = context.verdict(n, pair.p)
+    verdict, decide_units = context.verdict(n, pair.p)
 
     factors: tuple[tuple[int, int, int], ...] = ()
     if verdict.factorization is not None:
@@ -670,9 +599,8 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
         nu2_lemma_ok=nu2_ok,
         split_product_ok=split_ok,
         factors_found=factors,
-        work_units=sum(seed_units.values()) + sum(decide_units.values()),
+        work_units=sum(decide_units.values()),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        seed_stage_units=seed_units,
         decide_stage_units=decide_units,
     )
 
@@ -959,8 +887,8 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
     The run reproduces the finite machine check exactly when every index
     comes back not_composite or rejected -- zero undecided, zero holds.
     verify_index is called once per index, in index order, in this
-    process.  The odd indices from 3 up are seeded and decided on a fork
-    pool of one worker per available CPU (see _SweepPool), started here
+    process.  The odd indices from 3 up are decided on a fork pool of one
+    worker per available CPU (see _SweepPool), started here
     and ended before this returns or raises; with one CPU, in a daemonic
     process or without fork, VerifyContext does the same work in this
     process.  Both give the same report and the same units per index.

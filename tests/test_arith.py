@@ -183,18 +183,6 @@ def test_factor_square_just_past_trial_bound():
     assert f.factors == ((101, 1), (103, 1))
 
 
-def test_factor_seeds_must_be_valid():
-    with pytest.raises(ValueError):
-        factor(15, SMALL_POLICY, seeds=(7,))    # does not divide
-    with pytest.raises(ValueError):
-        factor(30, SMALL_POLICY, seeds=(15,))   # not prime
-
-
-def test_factor_seeds_are_used():
-    f = factor(985, TINY_POLICY, seeds=(197,))
-    assert (197, 1) in f.factors
-
-
 def test_factor_early_stop_leaves_cofactor():
     f = factor(985, SMALL_POLICY, on_prime=lambda p, e: True)
     assert f.factors == ((5, 1),)

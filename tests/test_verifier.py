@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pellcheck import arith, verifier
+from pellcheck import arith, cli, verifier
 from pellcheck.arith import STAGES, FactorPolicy, Factorization, factor
 from pellcheck.lehmer import LehmerReason, LehmerStatus
 from pellcheck.sequences import digits10, pell_pair, pell_sequence
@@ -18,7 +19,6 @@ from pellcheck.verifier import (
     FactorCache,
     IndexReport,
     VerificationReport,
-    VerifyContext,
     bound_chain,
     e8_enclosure,
     e8_threshold_check,
@@ -82,21 +82,6 @@ def test_even_indices_short_circuit():
     assert r.work_units < 1000  # no factoring happened
 
 
-def test_seeding_soundness():
-    context = VerifyContext(FAST)
-    for n in (9, 15, 21, 27, 35):
-        p_n = pell_pair(n).p
-        seeds = context.seeds_for(n)
-        for s in seeds:
-            assert p_n % s == 0, (n, s)
-        # exactly the primes of P_d for the proper divisors d of n
-        expected = set()
-        for d in range(2, n):
-            if n % d == 0:
-                expected.update(context.pell_factors(d).primes())
-        assert seeds == tuple(sorted(expected)), n
-
-
 def test_elapsed_excluded_from_equality():
     a = verify_index(9, FAST)
     b = IndexReport(
@@ -133,14 +118,11 @@ def test_verify_range_small():
 def test_verify_range_stage_units_sum_to_work_units():
     report = verify_range(60, FAST)
     for r in report.indices:
-        assert tuple(r.seed_stage_units) == STAGES
         assert tuple(r.decide_stage_units) == STAGES
-        assert (sum(r.seed_stage_units.values())
-                + sum(r.decide_stage_units.values())) == r.work_units, r.n
-    # P_43 is decided by p-1 stage 1; 43 is prime, so nothing seeds it
+        assert sum(r.decide_stage_units.values()) == r.work_units, r.n
+    # P_43 is decided by p-1 stage 1
     r43 = report.indices[42]
     assert r43.decide_stage_units["pm1_stage1"] > 0
-    assert r43.seed_stage_units["pm1_stage1"] == 0
     # the split is kept out of the canonical report
     assert "stage" not in report.to_json()
     assert VerificationReport.from_json(report.to_json()) == report
@@ -158,22 +140,15 @@ def test_sweep_pool_matches_the_in_process_sweep(monkeypatch):
     serial, pooled = runs[1], runs[2]
     assert pooled.to_json() == serial.to_json()
     for a, b in zip(serial.indices, pooled.indices):
-        assert a.seed_stage_units == b.seed_stage_units, a.n
         assert a.decide_stage_units == b.decide_stage_units, a.n
 
 
-def test_sweep_factors_nothing_to_seed(monkeypatch):
-    # every index's divisors are decided before it, in either sweep, so
-    # seeding reads their verdicts and never factors
-    def refuse(self, value):
-        raise AssertionError(f"seeding factored {value}")
-
-    monkeypatch.setattr(VerifyContext, "_budgeted_factor", refuse)
-    runs = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(verifier, "_stage2_workers", lambda: workers)
-        runs[workers] = verify_range(60, FAST).to_json()
-    assert runs[1] == runs[2]
+def test_index_report_does_not_depend_on_the_sweep():
+    # each index is decided from P_n alone, so a lone call pays for the
+    # same work as the sweep's entry for n
+    report = verify_range(60, FAST)
+    for r in report.indices:
+        assert verify_index(r.n, FAST) == r, r.n
 
 
 def test_sweep_pool_leaves_no_worker_when_a_task_raises(monkeypatch):
@@ -247,6 +222,51 @@ def test_sweep_pool_ends_the_stage2_pools_of_its_workers(monkeypatch,
     assert all(_gone(pid) for pid in pids)
 
 
+def _children(pid: int) -> list[int]:
+    """Live children of pid, read from /proc."""
+    children = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):  # it just exited
+            continue
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(arith._stage2_workers() < 2, reason="needs two CPUs")
+def test_sweep_workers_end_when_the_cli_is_killed():
+    # SIGKILL gives the CLI no chance to end its sweep workers, so each
+    # must see its pipe close and return once its current task ends
+    flags = [x for flag, name, _ in cli._POLICY_FLAGS
+             for x in (flag, str(getattr(FAST, name)))]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pellcheck", "verify", "--n-max", "199",
+         *flags], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == 2
+        proc.kill()
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+        deadline = time.monotonic() + 30
+        while (not all(_gone(pid) for pid in workers)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert all(_gone(pid) for pid in workers)
+    finally:
+        proc.kill()
+        for pid in workers:
+            if not _gone(pid):  # each worker leads its own process group
+                os.killpg(pid, signal.SIGKILL)
+
+
 def test_verify_range_rejects_zero():
     with pytest.raises(ValueError):
         verify_range(0, FAST)
@@ -269,9 +289,8 @@ def test_verify_range_can_surface_undecided():
                           max_total_ms=1, pm1_b1=0, pm1_b2=0)
     report = verify_range(10, policy)
     assert report.holds_indices == ()
-    assert 7 in report.undecided_indices   # P_7 = 169 stays unfactored
-    # (n = 9 still decides: the seed 5 comes from P_3 for free and the
-    # residual 197 is caught by the primality screen, not by factoring)
+    # P_7 = 169 and P_9 = 5 * 197 stay unfactored
+    assert report.undecided_indices == (7, 9)
     assert not report.reproduced
 
 

@@ -29,13 +29,11 @@ single prime power takes the gcd from 1 to n does stage 1 give up.  Rho
 tries a new random start (at most three in all) only after a collision,
 when its cycle closes on n itself; an attempt that runs out of
 iterations hands over to stage 2 at once, because another start would
-cost as much again.  Stage 2 walks its segments on forked workers, one
-per available CPU (_stage2_workers, which the sweep's own pool in
-verifier also uses), each with its own pipe, and reads their outcomes in
-segment order, so its result and its work units are those of a serial
-walk; the workers are killed with SIGKILL when the walk ends.  There is
-no setting for the worker count.  Elliptic curves and sieve methods are
-deliberately out of scope.
+cost as much again.  Stage 2 walks its segments through
+pool.ordered_map, the fork-worker map the sweep in verifier also uses,
+and reads their outcomes in segment order, so its result and its work
+units are those of a serial walk.  There is no setting for the worker
+count.  Elliptic curves and sieve methods are deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -44,12 +42,14 @@ import bisect
 import functools
 import hashlib
 import math
-import os
 import random
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
 from typing import Callable, Iterator, Optional
+
+from . import pool
 
 #: Work units charged per nominal millisecond of budget.  One unit is
 #: roughly one rho iteration on a desktop core; the constant only needs to
@@ -542,89 +542,26 @@ def _stage2_segment(n: int, h: int, b2: int,
     return primes, None
 
 
-def _stage2_workers() -> int:
-    """How many processes may walk stage-2 segments (or, in verifier,
-    sweep tasks) at once: the CPUs this process may run on, or 1 where it
-    cannot fork pool workers (a daemonic process may not have children;
-    some platforms lack fork)."""
-    import multiprocessing
-
-    if (multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _stage2_serve(conn, walk: Callable, segments: list) -> None:
-    """A stage-2 worker: walk the given segments in turn and send each
-    outcome, until the caller kills it."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops workers
-    for bounds in segments:
-        conn.send(walk(bounds))
-
-
-def _receive(conn):
-    """The next outcome a stage-2 worker sent."""
-    try:
-        return conn.recv()
-    except EOFError:
-        raise RuntimeError("a p-1 stage-2 worker exited") from None
-
-
 def _pm1_stage2(n: int, h: int, b1: int, b2: int,
                 meter: WorkMeter) -> Optional[int]:
     """Pollard p-1 stage 2 over the primes q in (b1, b2], segment by segment.
 
-    The segments run on forked workers, one per available CPU (or in this
-    process, with one CPU or one segment).  Worker i walks segments i,
-    i + workers, ... and sends each outcome down its own pipe, and the
-    outcomes are read strictly in segment order: each is charged
-    3 * primes + 1000 units, and the first that is not 1 is the result.
-    The divisor, the units charged and the point where BudgetExhausted is
-    raised are therefore those of a serial walk.  Every worker is killed
-    with SIGKILL and joined on every exit, so none outlives the call and
-    no signal handler it inherited can delay its end.  The workers fork
-    rather than spawn: spawn re-runs the caller's __main__ in every
-    worker, which recurses in a script that has no __main__ guard.
+    The segments are walked by pool.ordered_map, on one forked worker per
+    available CPU, and their outcomes are read in segment order: each is
+    charged 3 * primes + 1000 units, and the first that is not 1 is the
+    result.  The divisor, the units charged and the point where
+    BudgetExhausted is raised are therefore those of a serial walk, and
+    every worker is killed when the walk ends, however it ends.
     """
     segments = [(lo, min(lo + _STAGE2_SEGMENT, b2))
                 for lo in range(b1, b2, _STAGE2_SEGMENT)]
     walk = functools.partial(_stage2_segment, n, h, b2)
-    workers = min(_stage2_workers(), len(segments))
-    procs, conns = [], []
-    try:
-        if workers > 1:
-            import multiprocessing
-
-            fork = multiprocessing.get_context("fork")
-            for i in range(workers):
-                conn, child = fork.Pipe(duplex=False)
-                conns.append(conn)
-                proc = fork.Process(target=_stage2_serve,
-                                    args=(child, walk, segments[i::workers]))
-                proc.start()
-                procs.append(proc)
-                child.close()
-            outcomes = (_receive(conns[i % workers])
-                        for i in range(len(segments)))
-        else:
-            outcomes = map(walk, segments)
+    with closing(pool.ordered_map(walk, segments, pool.worker_count(),
+                                  "p-1 stage-2")) as outcomes:
         for primes, outcome in outcomes:
             meter.charge(3 * primes + 1000, "pm1_stage2")
             if outcome != 1:
                 return outcome
-    finally:
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
     return None
 
 

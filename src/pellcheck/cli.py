@@ -10,6 +10,7 @@ writes no cache file).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -209,7 +210,14 @@ def _print_progress(r) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     policy = _policy_from(args)
-    cache = FactorCache(args.cache) if args.cache else None
+    cache = None
+    if args.cache:  # refused before the sweep, not after it
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.cache))):
+            raise ValueError(f"--cache {args.cache}: no such directory")
+        try:
+            cache = FactorCache(args.cache)
+        except OSError as exc:
+            raise ValueError(f"--cache {args.cache}: {exc.strerror}") from None
     report = verify_range(args.n_max, policy, cache=cache,
                           on_index=_print_progress if args.verbose else None)
     if cache is not None:

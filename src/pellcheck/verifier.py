@@ -2,7 +2,8 @@
 
 `verify_range` reproduces the finite machine check (every Pell number up
 to an index bound is screened for the Lehmer property, each from P_n
-alone, with nothing carried from one index to another), while
+alone, with nothing carried from one index to another; the odd indices
+are decided on forked workers through pool.ordered_map), while
 `bound_chain`, `final_threshold` and `e8_threshold_check` evaluate the
 asymptotic inequalities with certified interval arithmetic.  Reports are
 deterministic: identical inputs, budgets and seed give byte-identical
@@ -17,17 +18,17 @@ import re
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
+from . import pool
 from .arith import (
     UNITS_PER_MS,
     FactorPolicy,
     Factorization,
     WorkMeter,
-    _stage2_workers,
     is_probable_prime,
     nu2,
 )
@@ -389,150 +390,26 @@ def _evidence(verdict: LehmerVerdict) -> Optional[Factorization]:
 
 
 class VerifyContext:
-    """Decides each index in this process, from P_n alone: no state is
-    shared across indices."""
+    """Where verify_index gets each verdict: decided here from P_n alone,
+    or for the odd indices 3, 5, ... taken, in index order, from
+    odd_verdicts, verify_range's ordered map of them."""
 
-    def __init__(self, policy: FactorPolicy):
+    def __init__(self, policy: FactorPolicy,
+                 odd_verdicts: Optional[Iterator] = None):
         self.policy = policy
+        self.odd_verdicts = odd_verdicts
 
     def seeds_for(self, n: int) -> tuple[int, ...]:
         return ()  # perfbench/child.py wraps this method by name
 
     def verdict(self, n: int,
                 pell_n: int) -> tuple[LehmerVerdict, dict[str, int]]:
-        """P_n's verdict, decided here, and its work units by stage."""
+        """P_n's verdict and its work units by stage."""
+        if self.odd_verdicts is not None and n % 2 == 1 and n >= 3:
+            return next(self.odd_verdicts)
         meter = WorkMeter(self.policy.max_total_ms * UNITS_PER_MS)
         verdict = lehmer_check(pell_n, self.policy, meter=meter)
         return verdict, dict(meter.by_stage)
-
-
-def _serve(conn, policy: FactorPolicy, inherited: list) -> None:
-    """A sweep worker: decide each index the caller sends and send back
-    (True, result) or (False, (exception, its traceback)), until the
-    caller kills it or its end of the pipe closes.
-
-    The worker first closes the caller-side pipe ends it inherited at
-    fork, its own and those of the workers started before it, so that
-    its pipe reports EOF once the caller is gone.
-    """
-    import signal
-    import traceback
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops workers
-    for end in inherited:
-        end.close()
-    context = VerifyContext(policy)
-    while True:
-        try:
-            n = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = True, context.verdict(n, pell_pair(n).p)
-        except Exception as exc:
-            reply = False, (exc, traceback.format_exc())
-        try:
-            conn.send(reply)
-        except BrokenPipeError:
-            return
-
-
-class _SweepPool(VerifyContext):
-    """A VerifyContext that decides the odd indices 3..n_max on forked
-    worker processes.
-
-    Each odd index is one task.  Tasks start in index order, each as soon
-    as a worker is idle, and give the verdict and units of an in-process
-    sweep, since no index reads another's verdict.  A task that raises is
-    raised again when the sweep reaches its index, so every lower index
-    is reported first, as in-process.
-    The workers are not daemonic, so p-1 stage 2 inside them still forks
-    its own workers.  Each worker leads its own process group, and close()
-    kills each group: the worker and any stage-2 workers it runs end at
-    once, with no signal handler that could miss the signal.  If this
-    process dies instead, each worker returns once its current task ends.
-    The workers are forked, as stage 2's are, before this process starts
-    any thread.
-    """
-
-    def __init__(self, policy: FactorPolicy, n_max: int, workers: int):
-        import multiprocessing
-
-        super().__init__(policy)
-        self.pending = list(range(3, n_max + 1, 2))
-        self.results: dict[int, tuple] = {}
-        #: index -> (exception, traceback) of a task that raised
-        self.failed: dict[int, tuple] = {}
-        self.running: dict = {}  # connection -> index
-        self.workers: list = []  # (process, connection)
-        fork = multiprocessing.get_context("fork")
-        try:
-            for _ in range(min(workers, len(self.pending))):
-                conn, child = fork.Pipe()
-                inherited = [c for _, c in self.workers] + [conn]
-                proc = fork.Process(target=_serve,
-                                    args=(child, policy, inherited))
-                proc.start()
-                self.workers.append((proc, conn))
-                child.close()
-                # before any task is sent, so stage-2 workers join it too
-                os.setpgid(proc.pid, proc.pid)
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Kill every worker with its process group and wait for it."""
-        import signal
-
-        for proc, _ in self.workers:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:  # gone, or not yet a group leader
-                proc.kill()
-        for proc, conn in self.workers:
-            proc.join()
-            conn.close()
-
-    def _start(self) -> None:
-        """Give each idle worker the next pending index."""
-        for _, conn in self.workers:
-            if self.pending and conn not in self.running:
-                n = self.pending.pop(0)
-                conn.send(n)
-                self.running[conn] = n
-
-    def _collect(self) -> None:
-        """Wait for running tasks to finish and record their results."""
-        from multiprocessing.connection import wait
-
-        busy = {conn: proc for proc, conn in self.workers
-                if conn in self.running}
-        ready = wait([*busy, *(proc.sentinel for proc in busy.values())])
-        done = [conn for conn in busy if conn in ready]
-        if not done:
-            raise RuntimeError("a sweep worker exited")
-        for conn in done:
-            ok, result = conn.recv()
-            n = self.running.pop(conn)
-            if ok:
-                self.results[n] = result
-            else:
-                self.failed[n] = result
-
-    def verdict(self, n: int,
-                pell_n: int) -> tuple[LehmerVerdict, dict[str, int]]:
-        """Index n's verdict and units, from the pool for odd n >= 3."""
-        if n % 2 == 0 or n < 3:
-            return super().verdict(n, pell_n)
-        while n not in self.results:
-            if n in self.failed:
-                # raised only now, so every lower index is reported first
-                exc, trace = self.failed.pop(n)
-                raise exc from RuntimeError(f"in a sweep worker:\n{trace}")
-            self._start()
-            self._collect()
-        return self.results.pop(n)
 
 
 @dataclass(frozen=True)
@@ -564,9 +441,9 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
 
     Even indices short-circuit: P_n is even there, so an even composite is
     rejected on parity alone and no factor harvesting is attempted.  The
-    verdict comes from context.verdict: computed here for a VerifyContext,
-    or taken from verify_range's pool, waiting for it if needed, so
-    elapsed_ms is then the time this call waited.  Either way the verdict
+    verdict comes from context.verdict: computed here, or taken from
+    verify_range's ordered map, waiting for it if needed, so elapsed_ms
+    is then the time this call waited.  Either way the verdict
     and work_units depend only on n and the policy, so a lone call gives
     the entry a sweep gives for n.
     """
@@ -887,11 +764,9 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
     The run reproduces the finite machine check exactly when every index
     comes back not_composite or rejected -- zero undecided, zero holds.
     verify_index is called once per index, in index order, in this
-    process.  The odd indices from 3 up are decided on a fork pool of one
-    worker per available CPU (see _SweepPool), started here
-    and ended before this returns or raises; with one CPU, in a daemonic
-    process or without fork, VerifyContext does the same work in this
-    process.  Both give the same report and the same units per index.
+    process.  The odd indices from 3 up are decided by pool.ordered_map,
+    whose workers end before this returns or raises; wherever it decides
+    them, the report and the units per index are the same.
     If given, on_index is called with each IndexReport as soon as its index
     is done, in index order (the CLI's `verify -v` prints progress with
     it); it does not affect the report.  If given, cache receives each
@@ -901,18 +776,17 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.perf_counter()
-    workers = _stage2_workers() if n_max >= 3 else 1
-    context = (_SweepPool(policy, n_max, workers) if workers > 1
-               else VerifyContext(policy))
+    decide = VerifyContext(policy).verdict
+    odd_verdicts = pool.ordered_map(
+        lambda n: decide(n, pell_pair(n).p), range(3, n_max + 1, 2),
+        pool.worker_count(), "sweep")
+    context = VerifyContext(policy, odd_verdicts)
     reports = []
-    try:
+    with closing(odd_verdicts):
         for n in range(1, n_max + 1):
             reports.append(verify_index(n, policy, context=context))
             if on_index is not None:
                 on_index(reports[-1])
-    finally:
-        if workers > 1:
-            context.close()
     if cache is not None:
         for r in reports:
             f = _evidence(r.verdict)

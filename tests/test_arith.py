@@ -12,7 +12,7 @@ from itertools import compress
 import pytest
 
 import pellcheck
-from pellcheck import arith
+from pellcheck import arith, pool
 from pellcheck.arith import (
     STAGES,
     UNITS_PER_MS,
@@ -647,7 +647,7 @@ def test_pm1_stage2_matches_reference(monkeypatch, n, b1, expected,
     # one worker walks in this process; two fork a pool once there are
     # several segments
     for workers in (1, 2):
-        monkeypatch.setattr(arith, "_stage2_workers", lambda: workers)
+        monkeypatch.setattr(pool, "worker_count", lambda: workers)
         meter = WorkMeter(10**9)
         found = arith._pm1_stage2(n, h, b1, b2, meter)
         assert (found, meter.used) == reference
@@ -665,7 +665,7 @@ def test_pm1_stage2_budget_exhausted_mid_walk(monkeypatch):
     full = reference_stage2(n, h, b1, b2, segment)[1]
     used = set()
     for workers in (1, 2):
-        monkeypatch.setattr(arith, "_stage2_workers", lambda: workers)
+        monkeypatch.setattr(pool, "worker_count", lambda: workers)
         meter = WorkMeter(full // 2)
         with pytest.raises(BudgetExhausted):
             arith._pm1_stage2(n, h, b1, b2, meter)
@@ -708,7 +708,7 @@ def test_pm1_stage2_workers_end_despite_a_sigterm_handler(monkeypatch,
 
     monkeypatch.setattr(arith, "_stage2_segment", first_hits_rest_hang)
     monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
-    monkeypatch.setattr(arith, "_stage2_workers", lambda: 2)
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
     n = P_12011 * R_1000003
     _, h = arith._pm1_stage1(n, 100, WorkMeter(10**9))
     previous = signal.signal(signal.SIGTERM, handler)
@@ -734,7 +734,7 @@ def test_pm1_stage2_worker_that_exits_is_an_error(monkeypatch):
 
     monkeypatch.setattr(arith, "_stage2_segment", first_exits)
     monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
-    monkeypatch.setattr(arith, "_stage2_workers", lambda: 2)
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
     n = P_12011 * R_1000003
     _, h = arith._pm1_stage1(n, 100, WorkMeter(10**9))
     with pytest.raises(RuntimeError, match="stage-2 worker exited"):
@@ -751,20 +751,21 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     )
     assert result.returncode == 0
     assert result.stdout == "False\n"
-    # a sweep with no odd index above 1 starts no pool, so the cold start
-    # stays as cheap as the import
-    script = (
-        "import os, sys, pellcheck.cli\n"
-        "os.fork = None\n"
-        "rc = pellcheck.cli.main(['verify', '--n-max', '2'])\n"
-        "print(rc, sorted({'multiprocessing', 'concurrent.futures',\n"
-        "                  'subprocess'} & set(sys.modules)))\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script],
-                            capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src})
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 []"
+    # a sweep with at most one odd index above 1 starts no worker, so the
+    # cold start stays as cheap as the import
+    for n_max in ("2", "3", "4"):
+        script = (
+            "import os, sys, pellcheck.cli\n"
+            "os.fork = None\n"
+            f"rc = pellcheck.cli.main(['verify', '--n-max', '{n_max}'])\n"
+            "print(rc, sorted({'multiprocessing', 'concurrent.futures',\n"
+            "                  'subprocess'} & set(sys.modules)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []", n_max
 
 
 # ---------------------------------------------------------------------------

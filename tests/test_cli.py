@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from pellcheck import cli, verifier
+from pellcheck import cli, pool, verifier
 from pellcheck.arith import FactorPolicy
 from pellcheck.cli import build_parser, main
 from pellcheck.sequences import pell_iterative
@@ -156,6 +156,27 @@ def test_verify_cache_flag_writes_file(capsys, tmp_path):
     assert "9 5^1 197^1 cofactor=1 complete=1" in path.read_text().splitlines()
 
 
+def test_verify_cache_that_is_a_directory_exits_2(capsys, tmp_path):
+    rc, out, err = run_cli(capsys, "verify", "--n-max", "9",
+                           "--cache", str(tmp_path))
+    assert rc == 2 and out == ""
+    assert err == f"error: --cache {tmp_path}: Is a directory\n"
+
+
+def test_verify_cache_in_a_missing_directory_exits_2_before_the_sweep(
+        capsys, tmp_path, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "verify_range", sweep)
+    path = tmp_path / "missing" / "cache.txt"
+    rc, out, err = run_cli(capsys, "verify", "--n-max", "9",
+                           "--cache", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: --cache {path}: no such directory\n"
+    assert not path.parent.exists()
+
+
 def test_verify_ignores_cache_env_var(capsys, tmp_path, monkeypatch):
     # --cache is the one way to name the cache file
     path = tmp_path / "cache.txt"
@@ -188,7 +209,7 @@ def test_verify_interrupt_exits_130_and_writes_no_cache(capsys, tmp_path,
         return real(n, *args, **kwargs)
 
     monkeypatch.setattr(cli, "verify_range", verifier.verify_range)
-    monkeypatch.setattr(verifier, "_stage2_workers", lambda: 2)
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
     monkeypatch.setattr(verifier, "verify_index", interrupted_at_9)
     rc, out, err = run_cli(capsys, "verify", "--n-max", "60",
                            "--cache", str(path))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pellcheck import arith, cli, verifier
+from pellcheck import arith, cli, pool, verifier
 from pellcheck.arith import STAGES, FactorPolicy, Factorization, factor
 from pellcheck.lehmer import LehmerReason, LehmerStatus
 from pellcheck.sequences import digits10, pell_pair, pell_sequence
@@ -131,7 +131,7 @@ def test_verify_range_stage_units_sum_to_work_units():
 def test_sweep_pool_matches_the_in_process_sweep(monkeypatch):
     runs = {}
     for workers in (1, 2):
-        monkeypatch.setattr(verifier, "_stage2_workers", lambda: workers)
+        monkeypatch.setattr(pool, "worker_count", lambda: workers)
         seen = []
         runs[workers] = verify_range(60, FAST,
                                      on_index=lambda r: seen.append(r.n))
@@ -152,7 +152,7 @@ def test_index_report_does_not_depend_on_the_sweep():
 
 
 def test_sweep_pool_leaves_no_worker_when_a_task_raises(monkeypatch):
-    monkeypatch.setattr(verifier, "_stage2_workers", lambda: 2)
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
     bad = pell_pair(41).p
     real = verifier.lehmer_check
 
@@ -197,8 +197,7 @@ def test_sweep_pool_ends_the_stage2_pools_of_its_workers(monkeypatch,
     monkeypatch.setenv("HUNG_SEGMENT_LOG", str(log))
     monkeypatch.setattr(arith, "_stage2_segment", _hung_segment)
     monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
-    monkeypatch.setattr(arith, "_stage2_workers", lambda: 2)
-    monkeypatch.setattr(verifier, "_stage2_workers", lambda: 2)
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
     policy = FactorPolicy(trial_bound=1000, rho_budget_ms=1, max_total_ms=100,
                           pm1_b1=1000, pm1_b2=200_000)
 
@@ -237,7 +236,7 @@ def _children(pid: int) -> list[int]:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-@pytest.mark.skipif(arith._stage2_workers() < 2, reason="needs two CPUs")
+@pytest.mark.skipif(pool.worker_count() < 2, reason="needs two CPUs")
 def test_sweep_workers_end_when_the_cli_is_killed():
     # SIGKILL gives the CLI no chance to end its sweep workers, so each
     # must see its pipe close and return once its current task ends
@@ -265,6 +264,42 @@ def test_sweep_workers_end_when_the_cli_is_killed():
         for pid in workers:
             if not _gone(pid):  # each worker leads its own process group
                 os.killpg(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_stage2_workers_end_when_their_caller_is_killed():
+    # a walk of 50,000 short segments that never finds a divisor (the order
+    # of 3 mod the prime 2^127 - 1 is far above the bound): after a SIGKILL
+    # to its caller, each worker must return within one segment
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))
+    script = (
+        "from pellcheck import arith, pool\n"
+        "arith._STAGE2_SEGMENT = 200_000\n"
+        "pool.worker_count = lambda: 2\n"
+        "arith._pm1_stage2((1 << 127) - 1, 3, 100, 10**10,\n"
+        "                  arith.WorkMeter(10**15))\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": src})
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == 2
+        proc.kill()
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+        deadline = time.monotonic() + 5
+        while (not all(_gone(pid) for pid in workers)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert all(_gone(pid) for pid in workers)
+    finally:
+        proc.kill()
+        for pid in workers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_verify_range_rejects_zero():

@@ -10,22 +10,12 @@ comparisons (`intervals`), and the orchestrating harness (`verifier`).
 from .arith import (
     FactorPolicy,
     Factorization,
-    Squarefree,
     euler_phi,
     factor,
     is_probable_prime,
-    is_squarefree,
     nu2,
-    nu_p,
-    omega,
 )
-from .identities import (
-    PellMinusOneSplit,
-    check_nu2_lemma,
-    check_pq_relation,
-    residue_mod4_of_factor,
-    split_pell_minus_one,
-)
+from .identities import PellMinusOneSplit, split_pell_minus_one
 from .intervals import CertificationError, Interval, certify
 from .lehmer import (
     LehmerReason,
@@ -36,7 +26,6 @@ from .lehmer import (
 )
 from .sequences import (
     PellPair,
-    pell,
     pell_iterative,
     pell_lucas_iterative,
     pell_lucas_sequence,
@@ -74,29 +63,21 @@ __all__ = [
     "LehmerVerdict",
     "PellMinusOneSplit",
     "PellPair",
-    "Squarefree",
     "VerificationReport",
     "bound_chain",
     "certify",
-    "check_nu2_lemma",
-    "check_pq_relation",
     "e8_threshold_check",
     "euler_phi",
     "factor",
     "final_threshold",
     "is_probable_prime",
-    "is_squarefree",
     "lehmer_check",
     "nu2",
-    "nu_p",
-    "omega",
-    "pell",
     "pell_iterative",
     "pell_lucas_iterative",
     "pell_lucas_sequence",
     "pell_pair",
     "pell_sequence",
-    "residue_mod4_of_factor",
     "run_identity_suite",
     "size_bound_holds",
     "split_pell_minus_one",

@@ -45,7 +45,6 @@ import math
 import random
 from contextlib import closing
 from dataclasses import dataclass
-from enum import Enum
 from itertools import compress, islice
 from typing import Callable, Iterator, Optional
 
@@ -139,12 +138,6 @@ class FactorPolicy:
             raise ValueError("p-1 bounds must be >= 0")
 
 
-#: Deliberately starved policy, handy for exercising `undecided` outcomes.
-TINY_POLICY = FactorPolicy(
-    trial_bound=100, rho_budget_ms=1, max_total_ms=10, pm1_b1=0, pm1_b2=0
-)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A (possibly partial) factorization: target = prod(p**e) * cofactor.
@@ -184,12 +177,6 @@ class Factorization:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-
-class Squarefree(str, Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -248,45 +235,32 @@ def is_probable_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sieves
 
-_sieve_cache: dict[int, list[int]] = {}
-
-
+@functools.cache
 def small_primes(bound: int) -> list[int]:
     """All primes <= bound, cached per bound."""
-    cached = _sieve_cache.get(bound)
-    if cached is not None:
-        return cached
     if bound < 2:
-        primes: list[int] = []
-    else:
-        bs = bytearray(b"\x01") * (bound + 1)
-        bs[0:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(bound) + 1):
-            if bs[p]:
-                start = p * p
-                bs[start::p] = bytes((bound - start) // p + 1)
-        primes = list(compress(range(bound + 1), bs))
-    _sieve_cache[bound] = primes
-    return primes
+        return []
+    bs = bytearray(b"\x01") * (bound + 1)
+    bs[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound) + 1):
+        if bs[p]:
+            start = p * p
+            bs[start::p] = bytes((bound - start) // p + 1)
+    return list(compress(range(bound + 1), bs))
 
 
 #: Trial division takes one gcd per block of this many consecutive primes.
 _TRIAL_BLOCK = 128
 
-_trial_product_cache: dict[int, list[int]] = {}
 
-
+@functools.cache
 def _trial_products(bound: int) -> list[int]:
     """The products of the blocks of small_primes(bound), cached per bound.
     Block i is small_primes(bound)[i * _TRIAL_BLOCK:(i + 1) * _TRIAL_BLOCK]
     (the last may be shorter)."""
-    products = _trial_product_cache.get(bound)
-    if products is None:
-        primes = small_primes(bound)
-        products = [math.prod(primes[lo:lo + _TRIAL_BLOCK])
-                    for lo in range(0, len(primes), _TRIAL_BLOCK)]
-        _trial_product_cache[bound] = products
-    return products
+    primes = small_primes(bound)
+    return [math.prod(primes[lo:lo + _TRIAL_BLOCK])
+            for lo in range(0, len(primes), _TRIAL_BLOCK)]
 
 
 #: _segment_sieve clears at most this many flags per slice assignment, so
@@ -406,19 +380,14 @@ def _brent_rho(n: int, max_iters: int, rng: random.Random,
 #: maximal prime powers whose product has at least this many bits.
 _STAGE1_CHUNK_BITS = 1 << 15
 
-_stage1_chunk_cache: dict[tuple[int, int],
-                          list[tuple[tuple[int, ...], int]]] = {}
 
-
-def _stage1_chunks(b1: int) -> list[tuple[tuple[int, ...], int]]:
+@functools.cache
+def _stage1_chunks(b1: int,
+                   chunk_bits: int) -> list[tuple[tuple[int, ...], int]]:
     """The stage-1 exponent, the product of all maximal prime powers <= b1,
     cut into chunks in ascending prime order: (the chunk's prime powers,
-    their product).  Every chunk but the last has at least
-    _STAGE1_CHUNK_BITS bits."""
-    key = (b1, _STAGE1_CHUNK_BITS)
-    chunks = _stage1_chunk_cache.get(key)
-    if chunks is not None:
-        return chunks
+    their product).  Every chunk but the last has at least chunk_bits
+    bits."""
     chunks = []
     powers: list[int] = []
     product = 1
@@ -428,12 +397,11 @@ def _stage1_chunks(b1: int) -> list[tuple[tuple[int, ...], int]]:
             pk *= p
         powers.append(pk)
         product *= pk
-        if product.bit_length() >= _STAGE1_CHUNK_BITS:
+        if product.bit_length() >= chunk_bits:
             chunks.append((tuple(powers), product))
             powers, product = [], 1
     if powers:
         chunks.append((tuple(powers), product))
-    _stage1_chunk_cache[key] = chunks
     return chunks
 
 
@@ -452,7 +420,7 @@ def _pm1_stage1(n: int, b1: int,
     if n % 2 == 0:
         return 2, 0
     h = 2
-    for powers, chunk in _stage1_chunks(b1):
+    for powers, chunk in _stage1_chunks(b1, _STAGE1_CHUNK_BITS):
         meter.charge(chunk.bit_length() // 2 + 1, "pm1_stage1")
         h_next = pow(h, chunk, n)
         g = math.gcd(h_next - 1, n)
@@ -696,41 +664,8 @@ def euler_phi(f: Factorization) -> int:
     return phi
 
 
-def omega(f: Factorization) -> int:
-    """Number of distinct prime divisors; requires completeness."""
-    if not f.complete:
-        raise ValueError("omega is undefined for a partial factorization")
-    return len(f.factors)
-
-
 def nu2(n: int) -> int:
     """2-adic valuation of n >= 1 (count of trailing zero bits)."""
     if n < 1:
         raise ValueError("valuation of 0 is infinite")
     return (n & -n).bit_length() - 1
-
-
-def nu_p(n: int, p: int) -> int:
-    """p-adic valuation of n >= 1 for prime p."""
-    if n < 1:
-        raise ValueError("valuation of 0 is infinite")
-    if p == 2:
-        return nu2(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def is_squarefree(f: Factorization) -> Squarefree:
-    """Tri-state squarefreeness from possibly partial factor data.
-
-    A repeated listed prime settles NO even when the factorization is
-    incomplete; YES needs completeness; anything else is UNKNOWN.
-    """
-    if any(e >= 2 for _, e in f.factors):
-        return Squarefree.NO
-    if f.complete:
-        return Squarefree.YES
-    return Squarefree.UNKNOWN

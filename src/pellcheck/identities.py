@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_probable_prime, nu2
+from .arith import nu2
 from .sequences import pell_pair
 
 
@@ -51,12 +51,6 @@ def nu2_transfer_holds(n: int, p: int) -> bool:
     return nu2(p - 1) == nu2(2 * a)
 
 
-def check_pq_relation(n: int) -> bool:
-    """True iff the companion relation holds at index n."""
-    pair = pell_pair(n)
-    return pq_relation_holds(n, pair.p, pair.q)
-
-
 @dataclass(frozen=True)
 class PellMinusOneSplit:
     """The two-factor decomposition P_n - 1 = P_{p_index} * Q_{q_index}.
@@ -82,27 +76,3 @@ def split_pell_minus_one(n: int) -> PellMinusOneSplit:
     return PellMinusOneSplit(
         n=n, p_index=p_index, q_index=q_index, p_part=p_part, q_part=q_part
     )
-
-
-def check_nu2_lemma(n: int) -> bool:
-    """True iff nu2(Q_n) == 1 and nu2(P_n) == nu2(n), for n >= 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    pair = pell_pair(n)
-    return nu2_lemma_holds(n, pair.p, pair.q)
-
-
-def residue_mod4_of_factor(n: int, q: int) -> int:
-    """Residue q mod 4 for a prime q dividing P_n with n odd.
-
-    Every such residue is expected to be 1 (reduce the companion relation
-    modulo q), but the value is returned rather than asserted so that a
-    counterexample would surface as data.
-    """
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
-    if not is_probable_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if pell_pair(n).p % q != 0:
-        raise ValueError(f"{q} does not divide P_{n}")
-    return q % 4

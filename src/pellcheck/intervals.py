@@ -15,6 +15,7 @@ comparison that was already decided.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -136,17 +137,11 @@ def _atanh_enclosure(t: Fraction, one_minus_t2_floor: Fraction,
     return s - tail, s
 
 
-_ln2_cache: dict[int, Interval] = {}
-
-
+@functools.cache
 def ln2_interval(bits: int) -> Interval:
     """Enclosure of ln 2 = 2*atanh(1/3)."""
-    cached = _ln2_cache.get(bits)
-    if cached is None:
-        lo, hi = _atanh_enclosure(Fraction(1, 3), Fraction(8, 9), bits + 1)
-        cached = _round_out(2 * lo, 2 * hi, bits + 4)
-        _ln2_cache[bits] = cached
-    return cached
+    lo, hi = _atanh_enclosure(Fraction(1, 3), Fraction(8, 9), bits + 1)
+    return _round_out(2 * lo, 2 * hi, bits + 4)
 
 
 def ln_interval(x: Rational, bits: int) -> Interval:

@@ -9,16 +9,22 @@ runs in this process instead.  When the map ends, however it ends, every
 worker is killed with SIGKILL and joined; close it explicitly, never by
 garbage collection.  Workers ignore SIGINT, and each closes the caller's
 pipe ends it inherits, so it returns within one item once the caller is
-gone.  A map started outside any worker makes each worker a process-group
-leader and kills the group, so a worker's own map ends with it.  Workers
-fork rather than spawn, which would re-run a script's unguarded __main__.
-multiprocessing, signal and traceback are imported only when a map forks.
+gone.  A map run inside a worker also watches that worker's pipe to its
+caller, which is sent nothing while the worker is busy, so the map raises
+as soon as the caller is gone.  A map started outside any worker makes
+each worker a process-group leader and kills the group, so a worker's own
+map ends with it.  Workers fork rather than spawn, which would re-run a
+script's unguarded __main__.  multiprocessing, signal and traceback are
+imported only when a map forks.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Callable, Iterable, Iterator
+
+#: In a worker, its pipe to its caller; None elsewhere.
+_caller = None
 
 
 def worker_count() -> int:
@@ -36,6 +42,8 @@ def _serve(conn, fn: Callable, inherited: list) -> None:
     import signal
     import traceback
 
+    global _caller
+    _caller = conn
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops workers
     for end in inherited:
         end.close()
@@ -74,6 +82,7 @@ def ordered_map(fn: Callable, items: Iterable, workers: int,
 
     fork = multiprocessing.get_context("fork")
     leaders = multiprocessing.parent_process() is None  # not in a worker
+    watched = [] if _caller is None else [_caller]
     procs, conns = [], []
     try:
         for _ in range(workers):
@@ -95,7 +104,10 @@ def ordered_map(fn: Callable, items: Iterable, workers: int,
                         conn.send(items[sent])
                         running[conn] = sent
                         sent += 1
-                ready = wait([*running, *(p.sentinel for p in procs)])
+                ready = wait([*running, *(p.sentinel for p in procs),
+                              *watched])
+                if watched and watched[0] in ready:  # EOF: the caller died
+                    raise RuntimeError(f"the caller of a {name} map is gone")
                 if any(p.sentinel in ready for p in procs):
                     raise RuntimeError(f"a {name} worker exited")
                 for conn in running.keys() & ready:

@@ -73,11 +73,6 @@ def pell_residue(n: int, modulus: int) -> int:
     return _ladder(n, modulus)[0]
 
 
-def pell(n: int) -> int:
-    """P_n by the doubling ladder (convenience wrapper around pell_pair)."""
-    return pell_pair(n).p
-
-
 def pell_iterative(n: int) -> int:
     """P_n by straight iteration of the recurrence; oracle for pell_pair."""
     if n < 0:

@@ -12,6 +12,7 @@ structured output.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -110,9 +111,7 @@ def final_inequality_holds(n: int) -> bool:
     return certify(_final_inequality_decide(n, n))
 
 
-_final_threshold_cache: Optional[int] = None
-
-
+@functools.cache
 def final_threshold() -> int:
     """One more than the largest n >= 16 satisfying the final inequality.
 
@@ -124,9 +123,6 @@ def final_threshold() -> int:
     surrounding argument has already forced n below e**8 < 3000 when this
     inequality is applied.
     """
-    global _final_threshold_cache
-    if _final_threshold_cache is not None:
-        return _final_threshold_cache
     holding = []
     blocks = [(16, _THRESHOLD_WINDOW - 1)]
     while blocks:
@@ -143,8 +139,7 @@ def final_threshold() -> int:
     for expected, n in enumerate(holding, start=16):
         if n != expected:
             raise AssertionError(f"satisfying set not contiguous at {n}")
-    _final_threshold_cache = holding[-1] + 1
-    return _final_threshold_cache
+    return holding[-1] + 1
 
 
 def e8_enclosure(bits: int = 48) -> Interval:
@@ -555,8 +550,10 @@ class VerificationReport:
 
     @property
     def reproduced(self) -> bool:
-        """True when the sweep fully decided every index and found nothing."""
-        return not self.undecided_indices and not self.holds_indices
+        """True when the sweep fully decided every index, found nothing,
+        and every identity check held."""
+        return (not self.undecided_indices and not self.holds_indices
+                and all(r.identities_ok for r in self.indices))
 
     @property
     def total_work_units(self) -> int:
@@ -654,7 +651,8 @@ class VerificationReport:
                 f"{self.cache_stored} stored"
             )
         lines.append("paper reproduced" if self.reproduced
-                     else "NOT reproduced (undecided or Lehmer hits remain)")
+                     else "NOT reproduced (undecided indices, Lehmer hits "
+                          "or failed identities remain)")
         return "\n".join(lines)
 
 

@@ -19,22 +19,20 @@ from pellcheck.arith import (
     BudgetExhausted,
     FactorPolicy,
     Factorization,
-    Squarefree,
-    TINY_POLICY,
     WorkMeter,
     euler_phi,
     factor,
     is_probable_prime,
-    is_squarefree,
     nu2,
-    nu_p,
-    omega,
     small_primes,
 )
 
 # cheap policy for factoring small targets in bulk
 SMALL_POLICY = FactorPolicy(trial_bound=400, rho_budget_ms=50,
                             max_total_ms=1000, pm1_b1=0, pm1_b2=0)
+# deliberately starved policy, for exercising partial factorizations
+TINY_POLICY = FactorPolicy(trial_bound=100, rho_budget_ms=1, max_total_ms=10,
+                           pm1_b1=0, pm1_b2=0)
 
 
 def sieve_is_prime(bound):
@@ -499,9 +497,8 @@ def stage1_exponent(b1):
 
 @pytest.mark.parametrize("b1", [2, 9, 100, 10**4])
 @pytest.mark.parametrize("bits", [1, 64, 1 << 15])
-def test_stage1_chunks_multiply_to_the_exponent(monkeypatch, b1, bits):
-    monkeypatch.setattr(arith, "_STAGE1_CHUNK_BITS", bits)
-    chunks = arith._stage1_chunks(b1)
+def test_stage1_chunks_multiply_to_the_exponent(b1, bits):
+    chunks = arith._stage1_chunks(b1, bits)
     assert math.prod(chunk for _, chunk in chunks) == stage1_exponent(b1)
     assert all(math.prod(powers) == chunk for powers, chunk in chunks)
     assert all(chunk.bit_length() >= bits for _, chunk in chunks[:-1])
@@ -529,7 +526,7 @@ def test_pm1_stage1_residue_is_the_whole_power(monkeypatch, bits):
     assert arith._pm1_stage1(n, b1, meter) == (
         None, pow(2, stage1_exponent(b1), n))
     assert meter.used == sum(chunk.bit_length() // 2 + 1
-                             for _, chunk in arith._stage1_chunks(b1))
+                             for _, chunk in arith._stage1_chunks(b1, bits))
 
 
 @pytest.mark.parametrize("bits", [256, 1 << 15])
@@ -769,7 +766,7 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 
 
 # ---------------------------------------------------------------------------
-# totient / omega / valuations / squarefree
+# totient / valuations
 
 
 def test_euler_phi_examples():
@@ -788,22 +785,11 @@ def test_euler_phi_rejects_partial():
     partial = Factorization(target=985, factors=((5, 1),), cofactor=197)
     with pytest.raises(ValueError):
         euler_phi(partial)
-    with pytest.raises(ValueError):
-        omega(partial)
-
-
-def test_omega_examples():
-    assert omega(factor(1, SMALL_POLICY)) == 0
-    assert omega(factor(985, SMALL_POLICY)) == 2
-    assert omega(factor(169, SMALL_POLICY)) == 1
 
 
 def test_nu2_examples():
     assert nu2(12) == 2
     assert nu2(14) == 1
-    assert nu_p(168, 7) == 1
-    assert nu_p(168, 2) == 3
-    assert nu_p(169, 13) == 2
 
 
 def test_nu2_equals_trailing_zero_bits():
@@ -820,19 +806,6 @@ def test_nu2_equals_trailing_zero_bits():
 def test_valuation_of_zero_rejected():
     with pytest.raises(ValueError):
         nu2(0)
-    with pytest.raises(ValueError):
-        nu_p(0, 3)
-
-
-def test_is_squarefree_tristate():
-    assert is_squarefree(factor(169, SMALL_POLICY)) == Squarefree.NO
-    assert is_squarefree(factor(985, SMALL_POLICY)) == Squarefree.YES
-    partial = Factorization(target=985 * 197, factors=((5, 1),),
-                            cofactor=197 * 197)
-    assert is_squarefree(partial) == Squarefree.UNKNOWN
-    partial_square = Factorization(target=4 * 985, factors=((2, 2),),
-                                   cofactor=985)
-    assert is_squarefree(partial_square) == Squarefree.NO
 
 
 # ---------------------------------------------------------------------------

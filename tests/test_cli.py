@@ -149,6 +149,16 @@ def test_verify_starved_exits_1(capsys):
     assert "NOT reproduced" in out
 
 
+def test_verify_with_a_failed_identity_exits_1(capsys, monkeypatch):
+    real = verifier.pq_relation_holds
+    monkeypatch.setattr(verifier, "pq_relation_holds",
+                        lambda n, p, q: n != 5 and real(n, p, q))
+    rc, out, _ = run_cli(capsys, "verify", "--n-max", "10")
+    assert rc == 1
+    assert "0 Lehmer, 0 undecided" in out
+    assert "NOT reproduced" in out
+
+
 def test_verify_cache_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "cache.txt"
     rc, _, _ = run_cli(capsys, "verify", "--n-max", "9", "--cache", str(path))

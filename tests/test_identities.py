@@ -1,23 +1,24 @@
 import pytest
 
-from pellcheck.arith import nu2
+from pellcheck.arith import factor, is_probable_prime, nu2
 from pellcheck.identities import (
-    check_nu2_lemma,
-    check_pq_relation,
-    residue_mod4_of_factor,
+    nu2_lemma_holds,
+    pq_relation_holds,
     split_pell_minus_one,
 )
-from pellcheck.sequences import pell_lucas_sequence, pell_sequence
+from pellcheck.sequences import pell_lucas_sequence, pell_pair, pell_sequence
 
 
 @pytest.mark.parametrize("n", [0, 3, 5])
 def test_pq_relation_examples(n):
-    assert check_pq_relation(n)
+    pair = pell_pair(n)
+    assert pq_relation_holds(n, pair.p, pair.q)
 
 
 def test_pq_relation_range():
     for n in range(2001):
-        assert check_pq_relation(n)
+        pair = pell_pair(n)
+        assert pq_relation_holds(n, pair.p, pair.q)
 
 
 @pytest.mark.parametrize("n,p_idx,q_idx,p_part,q_part", [
@@ -61,17 +62,21 @@ def test_split_rejects_bad_indices():
 
 @pytest.mark.parametrize("n", [4, 6, 1])
 def test_nu2_lemma_examples(n):
-    assert check_nu2_lemma(n)
+    pair = pell_pair(n)
+    assert nu2_lemma_holds(n, pair.p, pair.q)
 
 
 def test_nu2_lemma_range():
     for n in range(1, 2001):
-        assert check_nu2_lemma(n)
+        pair = pell_pair(n)
+        assert nu2_lemma_holds(n, pair.p, pair.q)
 
 
 def test_nu2_lemma_rejects_zero():
+    # P_0 = 0 has no 2-adic valuation
+    pair = pell_pair(0)
     with pytest.raises(ValueError):
-        check_nu2_lemma(0)
+        nu2_lemma_holds(0, pair.p, pair.q)
 
 
 def test_valuation_transfer_spot_values():
@@ -90,13 +95,18 @@ def test_valuation_transfer_range():
 
 @pytest.mark.parametrize("n,q", [(5, 29), (7, 13), (9, 197)])
 def test_residue_examples(n, q):
-    assert residue_mod4_of_factor(n, q) == 1
+    # q is a prime factor of P_n for odd n, so q = 1 (mod 4)
+    assert is_probable_prime(q) and pell_pair(n).p % q == 0
+    assert q % 4 == 1
 
 
-def test_residue_rejects_bad_input():
-    with pytest.raises(ValueError):
-        residue_mod4_of_factor(4, 3)        # even index
-    with pytest.raises(ValueError):
-        residue_mod4_of_factor(9, 196)      # not prime
-    with pytest.raises(ValueError):
-        residue_mod4_of_factor(9, 7)        # prime but not a factor
+def test_residue_of_every_factor_for_odd_n():
+    for n in range(3, 60, 2):
+        f = factor(pell_pair(n).p)
+        assert f.complete, n
+        assert all(q % 4 == 1 for q in f.primes()), n
+
+
+def test_residue_fact_needs_an_odd_index():
+    # P_4 = 12 = 2^2 * 3
+    assert [q % 4 for q in factor(pell_pair(4).p).primes()] == [2, 3]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pellcheck.arith import FactorPolicy, TINY_POLICY
+from pellcheck.arith import FactorPolicy
 from pellcheck.lehmer import (
     LehmerReason,
     LehmerStatus,
@@ -110,7 +110,9 @@ def test_rejection_evidence_is_sound():
 def test_monotone_staging():
     # a semiprime far beyond tiny budgets: undecided, then decided
     n = (10**9 + 7) * (10**9 + 9)
-    v_tiny = lehmer_check(n, TINY_POLICY)
+    tiny = FactorPolicy(trial_bound=100, rho_budget_ms=1, max_total_ms=10,
+                        pm1_b1=0, pm1_b2=0)
+    v_tiny = lehmer_check(n, tiny)
     assert (v_tiny.status, v_tiny.reason) == (LehmerStatus.UNDECIDED,
                                               LehmerReason.BUDGET_EXHAUSTED)
     v_full = lehmer_check(n, FactorPolicy(trial_bound=10**4,

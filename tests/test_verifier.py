@@ -302,6 +302,47 @@ def test_stage2_workers_end_when_their_caller_is_killed():
                 os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_nested_map_workers_end_when_the_caller_is_killed():
+    # an outer map of 2 items on 2 workers, each item an inner map of 100
+    # items of 0.2 s on 2 workers: the outer workers stay busy, so each must
+    # learn from its inner map that the caller is gone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))
+    script = (
+        "import time\n"
+        "from contextlib import closing\n"
+        "from pellcheck import pool\n"
+        "def outer(x):\n"
+        "    it = pool.ordered_map(time.sleep, [0.2] * 100, 2, 'inner')\n"
+        "    with closing(it):\n"
+        "        return len(list(it))\n"
+        "with closing(pool.ordered_map(outer, [0, 1], 2, 'outer')) as it:\n"
+        "    list(it)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": src})
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 6 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            outer = _children(proc.pid)
+            workers = outer + [pid for o in outer for pid in _children(o)]
+        assert len(workers) == 6
+        proc.kill()
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+        deadline = time.monotonic() + 5
+        while (not all(_gone(pid) for pid in workers)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert all(_gone(pid) for pid in workers)
+    finally:
+        proc.kill()
+        for pid in workers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 def test_verify_range_rejects_zero():
     with pytest.raises(ValueError):
         verify_range(0, FAST)
@@ -327,6 +368,17 @@ def test_verify_range_can_surface_undecided():
     # P_7 = 169 and P_9 = 5 * 197 stay unfactored
     assert report.undecided_indices == (7, 9)
     assert not report.reproduced
+
+
+def test_verify_range_with_a_failed_identity_is_not_reproduced(monkeypatch):
+    real = verifier.pq_relation_holds
+    monkeypatch.setattr(verifier, "pq_relation_holds",
+                        lambda n, p, q: n != 5 and real(n, p, q))
+    report = verify_range(10, FAST)
+    assert report.undecided_indices == report.holds_indices == ()
+    assert [r.n for r in report.indices if not r.identities_ok] == [5]
+    assert not report.reproduced
+    assert report.human_table().endswith("failed identities remain)")
 
 
 def test_verify_range_deterministic():
@@ -418,6 +470,16 @@ def test_final_inequality_block_check():
     assert certify(verifier._final_inequality_decide(1535, 2999)) is False
 
 
+@pytest.fixture
+def fresh_final_threshold():
+    """final_threshold computed afresh inside the test, and nothing the
+    test plants kept for later ones."""
+    final_threshold.cache_clear()
+    yield
+    final_threshold.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_final_threshold")
 def test_final_threshold_finds_a_planted_late_satisfying_index(monkeypatch):
     # the block proof must bisect down to a satisfying n far past the scan
     real = verifier._final_inequality_decide
@@ -426,11 +488,11 @@ def test_final_threshold_finds_a_planted_late_satisfying_index(monkeypatch):
         return (lambda bits: True) if a <= 500 <= b else real(a, b)
 
     monkeypatch.setattr(verifier, "_final_inequality_decide", planted)
-    monkeypatch.setattr(verifier, "_final_threshold_cache", None)
     with pytest.raises(AssertionError, match="not contiguous at 500"):
         final_threshold()
 
 
+@pytest.mark.usefixtures("fresh_final_threshold")
 def test_final_threshold_refuses_a_planted_gap(monkeypatch):
     real = verifier._final_inequality_decide
 
@@ -438,11 +500,11 @@ def test_final_threshold_refuses_a_planted_gap(monkeypatch):
         return (lambda bits: False) if a == b == 18 else real(a, b)
 
     monkeypatch.setattr(verifier, "_final_inequality_decide", planted)
-    monkeypatch.setattr(verifier, "_final_threshold_cache", None)
     with pytest.raises(AssertionError, match="not contiguous at 19"):
         final_threshold()
 
 
+@pytest.mark.usefixtures("fresh_final_threshold")
 def test_final_threshold_makes_few_certified_comparisons(monkeypatch):
     calls = []
 
@@ -451,7 +513,6 @@ def test_final_threshold_makes_few_certified_comparisons(monkeypatch):
         return certify(decide, **kwargs)
 
     monkeypatch.setattr(verifier, "certify", counting_certify)
-    monkeypatch.setattr(verifier, "_final_threshold_cache", None)
     assert final_threshold() == 21
     assert len(calls) <= 40
 

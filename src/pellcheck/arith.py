@@ -109,6 +109,13 @@ class WorkMeter:
             raise BudgetExhausted
 
 
+#: Largest trial_bound and pm1_b1: each sizes a prime sieve of that many
+#: bytes before any budget is charged.
+MAX_SIEVE_BOUND = 10**8
+#: Largest pm1_b2: stage 2 lists its (pm1_b2 / segment) segments up front.
+MAX_PM1_B2 = 10**13
+
+
 @dataclass(frozen=True)
 class FactorPolicy:
     """Budgets and knobs for the factorization pipeline.
@@ -136,6 +143,11 @@ class FactorPolicy:
             raise ValueError("budgets must be positive")
         if self.pm1_b1 < 0 or self.pm1_b2 < 0:
             raise ValueError("p-1 bounds must be >= 0")
+        if max(self.trial_bound, self.pm1_b1) > MAX_SIEVE_BOUND:
+            raise ValueError(f"trial_bound and pm1_b1 must be <= "
+                             f"{MAX_SIEVE_BOUND}")
+        if self.pm1_b2 > MAX_PM1_B2:
+            raise ValueError(f"pm1_b2 must be <= {MAX_PM1_B2}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from .verifier import (
     verify_range,
 )
 
-DEFAULT_INDEX_CAP = 1_000_000
+#: the largest index any command accepts
+INDEX_CAP = 1_000_000
 
 #: (flag, FactorPolicy field, help) for each policy flag; the defaults are
 #: FactorPolicy's own
@@ -63,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pellcheck",
         description="Verify that Pell numbers never have the Lehmer property.",
     )
-    parser.add_argument("--index-cap", type=int, default=DEFAULT_INDEX_CAP,
-                        help="refuse indices above this cap")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_pell = commands.add_parser("pell", help="print P_n")
@@ -110,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_index(parser: argparse.ArgumentParser, name: str, value: int,
-                 cap: int) -> None:
+def _check_index(parser: argparse.ArgumentParser, name: str,
+                 value: int) -> None:
     if value < 0:
         parser.error(f"{name} must be >= 0, got {value}")
-    if value > cap:
-        parser.error(f"{name}={value} exceeds --index-cap {cap}")
+    if value > INDEX_CAP:
+        parser.error(f"{name}={value} exceeds the index cap {INDEX_CAP}")
 
 
 def _cmd_pell(args: argparse.Namespace) -> int:
@@ -259,11 +258,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cap = args.index_cap
     if args.command in ("pell", "factor", "lehmer") and args.n is not None:
-        _check_index(parser, "--n", args.n, cap)
+        _check_index(parser, "--n", args.n)
     if args.command in ("identities", "verify"):
-        _check_index(parser, "--n-max", args.n_max, cap)
+        _check_index(parser, "--n-max", args.n_max)
         if args.n_max < 1:
             parser.error("--n-max must be >= 1")
     handlers = {

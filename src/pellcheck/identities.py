@@ -67,12 +67,11 @@ class PellMinusOneSplit:
 
 
 def split_pell_minus_one(n: int) -> PellMinusOneSplit:
-    """Decompose P_n - 1 for odd n >= 3; the product is re-verified."""
+    """The two parts of P_n - 1 for odd n >= 3; callers check their
+    product with split_product_holds."""
     p_index, q_index = split_indices(n)
     p_part = pell_pair(p_index).p
     q_part = pell_pair(q_index).q
-    if not split_product_holds(pell_pair(n).p, p_part, q_part):
-        raise AssertionError(f"split of P_{n} - 1 failed to multiply back")
     return PellMinusOneSplit(
         n=n, p_index=p_index, q_index=q_index, p_part=p_part, q_part=q_part
     )

@@ -453,8 +453,8 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
     nu2_ok = nu2_lemma_holds(n, pair.p, pair.q)
     split_ok: Optional[bool] = None
     if n % 2 == 1 and n >= 3:
-        split_pell_minus_one(n)  # raises if the product fails
-        split_ok = True
+        split = split_pell_minus_one(n)
+        split_ok = split_product_holds(pair.p, split.p_part, split.q_part)
 
     verdict, decide_units = context.verdict(n, pair.p)
 

@@ -833,6 +833,18 @@ def test_policy_validation():
         FactorPolicy(max_total_ms=-5)
 
 
+@pytest.mark.parametrize("field, limit", [
+    ("trial_bound", arith.MAX_SIEVE_BOUND),
+    ("pm1_b1", arith.MAX_SIEVE_BOUND),
+    ("pm1_b2", arith.MAX_PM1_B2),
+])
+def test_policy_refuses_bounds_that_size_oversized_tables(field, limit):
+    # construction only: nothing is sieved or listed here
+    assert getattr(FactorPolicy(**{field: limit}), field) == limit
+    with pytest.raises(ValueError, match=field):
+        FactorPolicy(**{field: limit + 1})
+
+
 def test_small_primes():
     assert small_primes(1) == []
     assert small_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

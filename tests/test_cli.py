@@ -10,11 +10,12 @@ from dataclasses import replace
 
 import pytest
 
-from pellcheck import cli, pool, verifier
+from pellcheck import cli, identities, pool, verifier
 from pellcheck.arith import FactorPolicy
 from pellcheck.cli import build_parser, main
 from pellcheck.sequences import pell_iterative
 from pellcheck.verifier import VerificationReport, parse_json
+from processes import HAS_PROC, session_members, wait_until
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +160,27 @@ def test_verify_with_a_failed_identity_exits_1(capsys, monkeypatch):
     assert "NOT reproduced" in out
 
 
+def test_verify_with_a_failed_split_exits_1(capsys, monkeypatch):
+    # P_5 - 1 = 28 = P_2 * Q_3, made to fail to multiply back
+    real = identities.split_product_holds
+    for module in (identities, verifier):
+        monkeypatch.setattr(module, "split_product_holds",
+                            lambda p_n, p_a, q_b: p_n != 29
+                            and real(p_n, p_a, q_b))
+    rc, out, _ = run_cli(capsys, "verify", "--n-max", "10")
+    assert rc == 1
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[2:12]}
+    assert [n for n, row in rows.items() if "FAIL" in row] == ["5"]
+    assert "NOT reproduced" in out
+    rc, out, _ = run_cli(capsys, "verify", "--n-max", "10",
+                         "--format", "structured")
+    assert rc == 1
+    assert out.count('"split_product":false') == 1
+    index_5 = parse_json(out)["indices"][4]
+    assert index_5["n"] == 5
+    assert index_5["identity_checks"]["split_product"] is False
+
+
 def test_verify_cache_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "cache.txt"
     rc, _, _ = run_cli(capsys, "verify", "--n-max", "9", "--cache", str(path))
@@ -250,6 +272,16 @@ def test_policy_flag_sets_its_field(flag, field):
     assert cli._policy_from(args) == replace(FactorPolicy(), **{field: 7})
 
 
+@pytest.mark.parametrize("flag, value", [("--trial-bound", 10**10),
+                                         ("--pm1-b1", 10**10),
+                                         ("--pm1-b2", 10**18)])
+def test_oversized_policy_bound_exits_2(capsys, flag, value):
+    # refused when the policy is built, before any table is sized
+    rc, out, err = run_cli(capsys, "factor", "--value", "12", flag, str(value))
+    assert rc == 2 and out == ""
+    assert flag[2:].replace("-", "_") in err  # names the policy field
+
+
 def test_bounds_human(capsys):
     rc, out, _ = run_cli(capsys, "bounds", "--n", "3000", "--k", "15")
     assert rc == 0
@@ -293,20 +325,10 @@ def test_negative_index_is_error():
     assert exc.value.code == 2
 
 
-def test_index_cap(capsys):
+def test_index_cap():
     with pytest.raises(SystemExit) as exc:
-        main(["pell", "--n", "1000001"])   # just above the default cap
+        main(["pell", "--n", "1000001"])   # just above the cap
     assert exc.value.code == 2
-    # a tightened cap rejects small indices too...
-    with pytest.raises(SystemExit) as exc:
-        main(["--index-cap", "1000", "pell", "--n", "1200"])
-    assert exc.value.code == 2
-    # ...and an explicit higher cap admits them
-    from pellcheck.sequences import pell_pair
-
-    rc, out, _ = run_cli(capsys, "--index-cap", "1500", "pell", "--n", "1200")
-    assert rc == 0
-    assert out.strip() == str(pell_pair(1200).p)
 
 
 def test_module_entry_point():
@@ -318,21 +340,7 @@ def test_module_entry_point():
     assert result.stdout == "169\n"
 
 
-def _session_members(sid: int) -> list[int]:
-    """Live processes in session sid, read from /proc."""
-    members = []
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
-                fields = fh.read().rsplit(")", 1)[1].split()
-        except (FileNotFoundError, ProcessLookupError):  # it just exited
-            continue
-        if fields[0] != "Z" and int(fields[3]) == sid:
-            members.append(int(entry))
-    return members
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
 def test_ctrl_c_during_a_sweep_ends_every_process(tmp_path):
     # a real SIGINT to the whole process group a second into the sweep
     path = tmp_path / "cache.txt"
@@ -350,10 +358,8 @@ def test_ctrl_c_during_a_sweep_ends_every_process(tmp_path):
     assert proc.returncode == 130
     assert out == "" and err == "interrupted\n"
     assert not path.exists()
-    deadline = time.monotonic() + 5
-    while _session_members(proc.pid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _session_members(proc.pid) == []
+    wait_until(lambda: not session_members(proc.pid), 5)
+    assert session_members(proc.pid) == []
 
 
 def test_zero_target_names_offending_flag(capsys):

@@ -1,11 +1,13 @@
 import multiprocessing
 import os
+import sys
 import time
 from contextlib import closing
 
 import pytest
 
 from pellcheck import pool
+from processes import HAS_PROC, assert_workers_die_with_caller
 
 
 def _slow_early(x):
@@ -79,3 +81,18 @@ def test_without_fork_runs_in_this_process(monkeypatch):
     it = pool.ordered_map(lambda x: (os.getpid(), x), [1, 2], 2, "test")
     with closing(it):
         assert list(it) == [(os.getpid(), 1), (os.getpid(), 2)]
+
+
+@pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
+def test_busy_workers_end_when_the_caller_is_killed():
+    # each worker is deep in a 60 s item, outside any map of its own, when
+    # its caller is killed: the kernel must end it at once
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pool.__file__)))
+    script = (
+        "import time\n"
+        "from pellcheck import pool\n"
+        "list(pool.ordered_map(time.sleep, [60, 60], 2, 'busy'))\n"
+    )
+    assert_workers_die_with_caller(
+        [sys.executable, "-c", script], 2, 2,
+        env={**os.environ, "PYTHONPATH": src})

@@ -32,6 +32,8 @@ from pellcheck.verifier import (
     _ineq_b_decide,
 )
 from pellcheck.intervals import certify
+from processes import (HAS_PROC, assert_workers_die_with_caller, gone,
+                       wait_until)
 
 FAST = FactorPolicy(trial_bound=10**4, rho_budget_ms=200, max_total_ms=5000,
                     pm1_b1=10**4, pm1_b2=0)
@@ -169,16 +171,6 @@ def test_sweep_pool_leaves_no_worker_when_a_task_raises(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _gone(pid: int) -> bool:
-    """True once pid has exited (a zombie that init has yet to reap
-    counts as exited)."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
-
-
 def _hung_segment(*args):
     """A stage-2 segment walk that logs its pid and hangs."""
     with open(os.environ["HUNG_SEGMENT_LOG"], "a", encoding="ascii") as fh:
@@ -186,7 +178,7 @@ def _hung_segment(*args):
     time.sleep(60)
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
 def test_sweep_pool_ends_the_stage2_pools_of_its_workers(monkeypatch,
                                                          tmp_path):
     # indices 71, 73, 109 and 113 reach p-1 stage 2 under this policy, and
@@ -215,62 +207,28 @@ def test_sweep_pool_ends_the_stage2_pools_of_its_workers(monkeypatch,
     assert multiprocessing.active_children() == []
     pids = [int(pid) for pid in log.read_text().split()]
     assert len(pids) >= 2
-    deadline = time.monotonic() + 5
-    while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert all(_gone(pid) for pid in pids)
+    wait_until(lambda: all(gone(pid) for pid in pids), 5)
+    assert all(gone(pid) for pid in pids)
 
 
-def _children(pid: int) -> list[int]:
-    """Live children of pid, read from /proc."""
-    children = []
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
-                fields = fh.read().rsplit(")", 1)[1].split()
-        except (FileNotFoundError, ProcessLookupError):  # it just exited
-            continue
-        if fields[0] != "Z" and int(fields[1]) == pid:
-            children.append(int(entry))
-    return children
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
 @pytest.mark.skipif(pool.worker_count() < 2, reason="needs two CPUs")
 def test_sweep_workers_end_when_the_cli_is_killed():
     # SIGKILL gives the CLI no chance to end its sweep workers, so each
-    # must see its pipe close and return once its current task ends
+    # must die with it
     flags = [x for flag, name, _ in cli._POLICY_FLAGS
              for x in (flag, str(getattr(FAST, name)))]
-    proc = subprocess.Popen(
+    assert_workers_die_with_caller(
         [sys.executable, "-m", "pellcheck", "verify", "--n-max", "199",
-         *flags], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    workers = []
-    try:
-        deadline = time.monotonic() + 30
-        while len(workers) < 2 and time.monotonic() < deadline:
-            time.sleep(0.05)
-            workers = _children(proc.pid)
-        assert len(workers) == 2
-        proc.kill()
-        assert proc.wait(timeout=30) == -signal.SIGKILL
-        deadline = time.monotonic() + 30
-        while (not all(_gone(pid) for pid in workers)
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        assert all(_gone(pid) for pid in workers)
-    finally:
-        proc.kill()
-        for pid in workers:
-            if not _gone(pid):  # each worker leads its own process group
-                os.killpg(pid, signal.SIGKILL)
+         *flags], 2, 30,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
 def test_stage2_workers_end_when_their_caller_is_killed():
     # a walk of 50,000 short segments that never finds a divisor (the order
     # of 3 mod the prime 2^127 - 1 is far above the bound): after a SIGKILL
-    # to its caller, each worker must return within one segment
+    # to its caller, each worker must end
     src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))
     script = (
         "from pellcheck import arith, pool\n"
@@ -279,34 +237,16 @@ def test_stage2_workers_end_when_their_caller_is_killed():
         "arith._pm1_stage2((1 << 127) - 1, 3, 100, 10**10,\n"
         "                  arith.WorkMeter(10**15))\n"
     )
-    proc = subprocess.Popen([sys.executable, "-c", script],
-                            env={**os.environ, "PYTHONPATH": src})
-    workers = []
-    try:
-        deadline = time.monotonic() + 30
-        while len(workers) < 2 and time.monotonic() < deadline:
-            time.sleep(0.05)
-            workers = _children(proc.pid)
-        assert len(workers) == 2
-        proc.kill()
-        assert proc.wait(timeout=30) == -signal.SIGKILL
-        deadline = time.monotonic() + 5
-        while (not all(_gone(pid) for pid in workers)
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        assert all(_gone(pid) for pid in workers)
-    finally:
-        proc.kill()
-        for pid in workers:
-            if not _gone(pid):
-                os.kill(pid, signal.SIGKILL)
+    assert_workers_die_with_caller(
+        [sys.executable, "-c", script], 2, 5,
+        env={**os.environ, "PYTHONPATH": src})
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
 def test_nested_map_workers_end_when_the_caller_is_killed():
     # an outer map of 2 items on 2 workers, each item an inner map of 100
-    # items of 0.2 s on 2 workers: the outer workers stay busy, so each must
-    # learn from its inner map that the caller is gone
+    # items of 0.2 s on 2 workers: the outer workers stay busy, and each
+    # takes its own inner workers with it when it dies
     src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))
     script = (
         "import time\n"
@@ -319,28 +259,9 @@ def test_nested_map_workers_end_when_the_caller_is_killed():
         "with closing(pool.ordered_map(outer, [0, 1], 2, 'outer')) as it:\n"
         "    list(it)\n"
     )
-    proc = subprocess.Popen([sys.executable, "-c", script],
-                            env={**os.environ, "PYTHONPATH": src})
-    workers: list[int] = []
-    try:
-        deadline = time.monotonic() + 30
-        while len(workers) < 6 and time.monotonic() < deadline:
-            time.sleep(0.05)
-            outer = _children(proc.pid)
-            workers = outer + [pid for o in outer for pid in _children(o)]
-        assert len(workers) == 6
-        proc.kill()
-        assert proc.wait(timeout=30) == -signal.SIGKILL
-        deadline = time.monotonic() + 5
-        while (not all(_gone(pid) for pid in workers)
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        assert all(_gone(pid) for pid in workers)
-    finally:
-        proc.kill()
-        for pid in workers:
-            if not _gone(pid):
-                os.kill(pid, signal.SIGKILL)
+    assert_workers_die_with_caller(
+        [sys.executable, "-c", script], 6, 5,
+        env={**os.environ, "PYTHONPATH": src})
 
 
 def test_verify_range_rejects_zero():

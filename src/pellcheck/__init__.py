@@ -15,14 +15,13 @@ from .arith import (
     is_probable_prime,
     nu2,
 )
-from .identities import PellMinusOneSplit, split_pell_minus_one
+from .identities import split_pell_minus_one
 from .intervals import CertificationError, Interval, certify
 from .lehmer import (
     LehmerReason,
     LehmerStatus,
     LehmerVerdict,
     lehmer_check,
-    witness_reject,
 )
 from .sequences import (
     PellPair,
@@ -31,7 +30,6 @@ from .sequences import (
     pell_lucas_sequence,
     pell_pair,
     pell_sequence,
-    size_bound_holds,
 )
 from .verifier import (
     LEHMER_OMEGA_MIN,
@@ -61,7 +59,6 @@ __all__ = [
     "LehmerReason",
     "LehmerStatus",
     "LehmerVerdict",
-    "PellMinusOneSplit",
     "PellPair",
     "VerificationReport",
     "bound_chain",
@@ -79,9 +76,7 @@ __all__ = [
     "pell_pair",
     "pell_sequence",
     "run_identity_suite",
-    "size_bound_holds",
     "split_pell_minus_one",
     "verify_index",
     "verify_range",
-    "witness_reject",
 ]

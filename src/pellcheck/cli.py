@@ -3,8 +3,8 @@
 Subcommands: pell, factor, lehmer, identities, verify, bounds.  Structured
 output goes to stdout as canonical JSON; diagnostics go to stderr.  Exit
 status: 0 success / verified, 1 verification failure or undecided results,
-2 invalid arguments, 130 interrupted (Ctrl-C; an interrupted `verify`
-writes no cache file).
+2 invalid arguments or a failed cache write, 130 interrupted (Ctrl-C; an
+interrupted sweep writes no cache file), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .verifier import (
 
 #: the largest index any command accepts
 INDEX_CAP = 1_000_000
+
+#: the largest `identities --n-max`: the suite keeps P_0..P_N and Q_0..Q_N,
+#: about 0.08 * N**2 bytes each (32 MB at this bound)
+IDENTITIES_N_MAX = 20_000
 
 #: (flag, FactorPolicy field, help) for each policy flag; the defaults are
 #: FactorPolicy's own
@@ -219,12 +223,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"--cache {args.cache}: {exc.strerror}") from None
     report = verify_range(args.n_max, policy, cache=cache,
                           on_index=_print_progress if args.verbose else None)
-    if cache is not None:
-        cache.write_file()
-    if args.format == "structured":
-        sys.stdout.write(report.to_json())
-    else:
-        print(report.human_table())
+    try:
+        if args.format == "structured":
+            sys.stdout.write(report.to_json())
+        else:
+            print(report.human_table())
+        sys.stdout.flush()
+    finally:  # the report first, and the cache even if stdout is closed
+        if cache is not None:
+            try:
+                cache.write_file()
+            except OSError as exc:
+                raise ValueError(
+                    f"--cache {args.cache}: {exc.strerror}") from None
     return 0 if report.reproduced else 1
 
 
@@ -264,6 +275,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _check_index(parser, "--n-max", args.n_max)
         if args.n_max < 1:
             parser.error("--n-max must be >= 1")
+    if args.command == "identities" and args.n_max > IDENTITIES_N_MAX:
+        parser.error(f"--n-max={args.n_max} exceeds the identities bound "
+                     f"{IDENTITIES_N_MAX}")
     handlers = {
         "pell": _cmd_pell,
         "factor": _cmd_factor,
@@ -273,7 +287,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         "bounds": _cmd_bounds,
     }
     try:
-        return handlers[args.command](args)
+        rc = handlers[args.command](args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to /dev/null, so
+        # that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,6 @@ not as a silently wrong downstream verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import nu2
 from .sequences import pell_pair
 
@@ -51,27 +49,8 @@ def nu2_transfer_holds(n: int, p: int) -> bool:
     return nu2(p - 1) == nu2(2 * a)
 
 
-@dataclass(frozen=True)
-class PellMinusOneSplit:
-    """The two-factor decomposition P_n - 1 = P_{p_index} * Q_{q_index}.
-
-    For odd n, {p_index, q_index} = {(n-1)/2, (n+1)/2}; which half carries
-    which role depends on n mod 4.
-    """
-
-    n: int
-    p_index: int
-    q_index: int
-    p_part: int
-    q_part: int
-
-
-def split_pell_minus_one(n: int) -> PellMinusOneSplit:
-    """The two parts of P_n - 1 for odd n >= 3; callers check their
-    product with split_product_holds."""
-    p_index, q_index = split_indices(n)
-    p_part = pell_pair(p_index).p
-    q_part = pell_pair(q_index).q
-    return PellMinusOneSplit(
-        n=n, p_index=p_index, q_index=q_index, p_part=p_part, q_part=q_part
-    )
+def split_pell_minus_one(n: int) -> tuple[int, int]:
+    """(P_a, Q_b) for the split indices (a, b) of odd n >= 3; callers check
+    their product with split_product_holds."""
+    a, b = split_indices(n)
+    return pell_pair(a).p, pell_pair(b).q

@@ -1,10 +1,10 @@
 """Certified enclosures for the few transcendental comparisons we need.
 
-Endpoints are exact rationals, so ordinary interval arithmetic (+, -, *, /)
-introduces no rounding at all.  Width enters only through the logarithm and
-exponential enclosures, which sum an explicit number of series terms and
-then widen by a proven tail bound; endpoints are finally rounded outward to
-dyadic rationals to keep denominators from snowballing.  A comparison is
+Endpoints are exact rationals, so interval sums and products introduce no
+rounding at all.  Width enters only through the logarithm and exponential
+enclosures, which sum an explicit number of series terms and then widen by
+a proven tail bound; endpoints are finally rounded outward to dyadic
+rationals to keep denominators from snowballing.  A comparison is
 `certified` when the two enclosures separate; callers escalate precision
 until they do.
 
@@ -51,10 +51,6 @@ class Interval:
         o = _coerce(other)
         return Interval(self.lo + o.lo, self.hi + o.hi)
 
-    def __sub__(self, other: "Interval | Rational") -> "Interval":
-        o = _coerce(other)
-        return Interval(self.lo - o.hi, self.hi - o.lo)
-
     def __mul__(self, other: "Interval | Rational") -> "Interval":
         o = _coerce(other)
         products = (self.lo * o.lo, self.lo * o.hi,
@@ -63,14 +59,6 @@ class Interval:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "Interval | Rational") -> "Interval":
-        o = _coerce(other)
-        if o.lo <= 0 <= o.hi:
-            raise ZeroDivisionError("divisor interval contains zero")
-        quotients = (self.lo / o.lo, self.lo / o.hi,
-                     self.hi / o.lo, self.hi / o.hi)
-        return Interval(min(quotients), max(quotients))
 
     def squared(self) -> "Interval":
         if self.lo >= 0:

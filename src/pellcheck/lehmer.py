@@ -66,19 +66,6 @@ class LehmerVerdict:
     factorization: Optional[Factorization] = None
 
 
-def witness_reject(n: int, p: int) -> bool:
-    """True iff the prime factor p of n certifies that n is not Lehmer.
-
-    If p | n then p - 1 divides phi(n), so phi(n) | n - 1 would force
-    (p - 1) | (n - 1); a p where that division fails is a witness.
-    """
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n % p != 0:
-        raise ValueError(f"{p} does not divide {n}")
-    return (n - 1) % (p - 1) != 0
-
-
 def lehmer_check(n: int, policy: FactorPolicy = FactorPolicy(), *,
                  meter: Optional[WorkMeter] = None) -> LehmerVerdict:
     """Run the staged Lehmer-property check on n >= 1.
@@ -100,6 +87,7 @@ def lehmer_check(n: int, policy: FactorPolicy = FactorPolicy(), *,
         if e >= 2:
             hit.append((LehmerReason.NOT_SQUAREFREE, p))
             return True
+        # p | n makes (p - 1) | phi(n), so a Lehmer n needs (p - 1) | (n - 1)
         if (n - 1) % (p - 1) != 0:
             hit.append((LehmerReason.FACTOR_WITNESS, p))
             return True

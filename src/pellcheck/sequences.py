@@ -113,18 +113,6 @@ def pell_lucas_sequence(n_max: int) -> list[int]:
     return seq[: n_max + 1]
 
 
-def size_bound_holds(n: int) -> bool:
-    """Whether P_n >= 2**(n/2), tested in the squared form P_n**2 >= 2**n.
-
-    The squared form keeps the comparison in exact integer arithmetic.
-    Defined for n >= 2 only (the bound fails at n = 1).
-    """
-    if n < 2:
-        raise ValueError("size bound is stated for n >= 2")
-    p = pell_pair(n).p
-    return p * p >= 1 << n
-
-
 def digits10(n: int) -> int:
     """Exact decimal digit count of n >= 0 without building the string.
 

@@ -48,6 +48,9 @@ from .lehmer import LehmerReason, LehmerStatus, LehmerVerdict, lehmer_check
 from .sequences import (digits10, pell_lucas_sequence, pell_pair,
                         pell_residue, pell_sequence)
 
+#: The version of the canonical report's layout, written as its "schema".
+REPORT_SCHEMA = 1
+
 #: Literature floor for the number of distinct prime factors of any Lehmer
 #: number.  A configuration constant, not something this package proves.
 LEHMER_OMEGA_MIN = 15
@@ -453,8 +456,7 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
     nu2_ok = nu2_lemma_holds(n, pair.p, pair.q)
     split_ok: Optional[bool] = None
     if n % 2 == 1 and n >= 3:
-        split = split_pell_minus_one(n)
-        split_ok = split_product_holds(pair.p, split.p_part, split.q_part)
+        split_ok = split_product_holds(pair.p, *split_pell_minus_one(n))
 
     verdict, decide_units = context.verdict(n, pair.p)
 
@@ -510,9 +512,9 @@ def bounds_summary() -> BoundsSummary:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Aggregate outcome of verify_range, serializable both ways."""
+    """Aggregate outcome of verify_range; to_json gives its canonical
+    report."""
 
-    schema: int
     n_max: int
     policy: FactorPolicy
     indices: tuple[IndexReport, ...]
@@ -521,7 +523,6 @@ class VerificationReport:
     cache_loaded: int
     cache_rejected: tuple[str, ...]
     cache_stored: int
-    elapsed_ms: float = field(compare=False, default=0.0)
 
     @property
     def status_counts(self) -> dict[str, int]:
@@ -563,7 +564,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "n_max": self.n_max,
             "policy": asdict(self.policy),
             "summary": {
@@ -588,27 +589,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
-
-    @staticmethod
-    def from_dict(data: dict) -> "VerificationReport":
-        bounds = data["bounds"]
-        return VerificationReport(
-            schema=data["schema"],
-            n_max=data["n_max"],
-            policy=FactorPolicy(**data["policy"]),
-            indices=tuple(_index_from_dict(d) for d in data["indices"]),
-            bounds=BoundsSummary(**{**bounds,
-                                    "e8_lo": Fraction(bounds["e8_lo"]),
-                                    "e8_hi": Fraction(bounds["e8_hi"])}),
-            cache_path=data["cache"]["path"],
-            cache_loaded=data["cache"]["loaded"],
-            cache_rejected=tuple(data["cache"]["rejected"]),
-            cache_stored=data["cache"]["stored"],
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "VerificationReport":
-        return VerificationReport.from_dict(parse_json(text))
 
     # -- human rendering ----------------------------------------------------
 
@@ -676,43 +656,10 @@ def _index_to_dict(r: IndexReport) -> dict:
     return d
 
 
-def _index_from_dict(d: dict) -> IndexReport:
-    pair = pell_pair(d["n"])
-    factors = tuple((p, e) for p, e, _ in d["factors"])
-    factorization = None
-    if d["cofactor"] is not None:
-        factorization = Factorization(
-            target=pair.p, factors=factors, cofactor=d["cofactor"]
-        )
-    verdict = LehmerVerdict(
-        target=pair.p,
-        status=LehmerStatus(d["status"]),
-        reason=LehmerReason(d["reason"]),
-        evidence=d["evidence"],
-        factorization=factorization,
-    )
-    return IndexReport(
-        n=d["n"],
-        pell_digits=d["pell_digits"],
-        verdict=verdict,
-        pq_relation_ok=d["identity_checks"]["pq_relation"],
-        nu2_lemma_ok=d["identity_checks"]["nu2_lemma"],
-        split_product_ok=d["identity_checks"]["split_product"],
-        factors_found=tuple((p, e, res) for p, e, res in d["factors"]),
-        work_units=d["work_units"],
-    )
-
-
 def canonical_json(data: dict) -> str:
     """Deterministic JSON text: sorted keys, no whitespace, newline-ended."""
     with big_int_strings():
         return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def parse_json(text: str) -> dict:
-    """json.loads that tolerates very large embedded integers."""
-    with big_int_strings():
-        return json.loads(text)
 
 
 @contextmanager
@@ -773,7 +720,6 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    t0 = time.perf_counter()
     decide = VerifyContext(policy).verdict
     odd_verdicts = pool.ordered_map(
         lambda n: decide(n, pell_pair(n).p), range(3, n_max + 1, 2),
@@ -791,7 +737,6 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
             if f is not None:
                 cache.store(r.n, f)
     return VerificationReport(
-        schema=1,
         n_max=n_max,
         policy=policy,
         indices=tuple(reports),
@@ -800,7 +745,6 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
         cache_loaded=cache.loaded if cache else 0,
         cache_rejected=tuple(cache.rejected) if cache else (),
         cache_stored=cache.stored if cache else 0,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 

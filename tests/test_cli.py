@@ -1,4 +1,5 @@
 import decimal
+import errno
 import json
 import multiprocessing
 import os
@@ -14,8 +15,15 @@ from pellcheck import cli, identities, pool, verifier
 from pellcheck.arith import FactorPolicy
 from pellcheck.cli import build_parser, main
 from pellcheck.sequences import pell_iterative
-from pellcheck.verifier import VerificationReport, parse_json
+from pellcheck.verifier import big_int_strings
 from processes import HAS_PROC, session_members, wait_until
+
+
+def parse_json(text):
+    """json.loads with the int/str digit limit lifted; bounds output
+    carries a 38,539-digit integer."""
+    with big_int_strings():
+        return json.loads(text)
 
 
 def run_cli(capsys, *argv):
@@ -112,9 +120,11 @@ def test_verify_structured_round_trip(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--n-max", "12",
                          "--format", "structured")
     assert rc == 0
-    report = VerificationReport.from_json(out)
-    assert report.n_max == 12 and report.reproduced
-    assert report.to_json() == out
+    data = json.loads(out)
+    assert data["n_max"] == 12 and data["summary"]["reproduced"] is True
+    assert [d["n"] for d in data["indices"]] == list(range(1, 13))
+    assert json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n" \
+        == out
 
 
 def test_verify_structured_deterministic(capsys):
@@ -186,6 +196,24 @@ def test_verify_cache_flag_writes_file(capsys, tmp_path):
     rc, _, _ = run_cli(capsys, "verify", "--n-max", "9", "--cache", str(path))
     assert rc == 0
     assert "9 5^1 197^1 cofactor=1 complete=1" in path.read_text().splitlines()
+
+
+def test_failed_cache_write_keeps_the_report(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cache.txt"
+    old = "9 5^1 197^1 cofactor=1 complete=1\n"
+    path.write_text(old)
+
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", no_space)
+    rc, out, err = run_cli(capsys, "verify", "--n-max", "12",
+                           "--cache", str(path))
+    assert rc == 2
+    assert "paper reproduced" in out
+    assert err == f"error: --cache {path}: {os.strerror(errno.ENOSPC)}\n"
+    assert os.listdir(tmp_path) == ["cache.txt"]  # no temp file left
+    assert path.read_text() == old
 
 
 def test_verify_cache_that_is_a_directory_exits_2(capsys, tmp_path):
@@ -329,6 +357,36 @@ def test_index_cap():
     with pytest.raises(SystemExit) as exc:
         main(["pell", "--n", "1000001"])   # just above the cap
     assert exc.value.code == 2
+
+
+def test_identities_n_max_bound():
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "--n-max", "20001"])   # just above the bound
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["pell", "--n", "5"],
+                                  ["verify", "--n-max", "10"]],
+                         ids=["pell", "verify"])
+def test_closed_stdout_exits_141(argv, buffered):
+    # the read end is closed before the child starts, so its output can
+    # never be delivered, whenever the child writes or flushes it
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pellcheck", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == ""
 
 
 def test_module_entry_point():

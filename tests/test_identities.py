@@ -4,6 +4,7 @@ from pellcheck.arith import factor, is_probable_prime, nu2
 from pellcheck.identities import (
     nu2_lemma_holds,
     pq_relation_holds,
+    split_indices,
     split_pell_minus_one,
 )
 from pellcheck.sequences import pell_lucas_sequence, pell_pair, pell_sequence
@@ -28,29 +29,29 @@ def test_pq_relation_range():
     (3, 2, 1, 2, 2),      # 2 * 2 = 4 = P_3 - 1
 ])
 def test_split_examples(n, p_idx, q_idx, p_part, q_part):
-    s = split_pell_minus_one(n)
-    assert (s.p_index, s.q_index) == (p_idx, q_idx)
-    assert (s.p_part, s.q_part) == (p_part, q_part)
+    assert split_indices(n) == (p_idx, q_idx)
+    assert split_pell_minus_one(n) == (p_part, q_part)
 
 
 def test_split_branches_by_residue_mod_4():
     for n in range(3, 1000, 2):
-        s = split_pell_minus_one(n)
+        a, b = split_indices(n)
         if n % 4 == 1:
-            assert (s.p_index, s.q_index) == ((n - 1) // 2, (n + 1) // 2)
+            assert (a, b) == ((n - 1) // 2, (n + 1) // 2)
         else:
-            assert (s.p_index, s.q_index) == ((n + 1) // 2, (n - 1) // 2)
-        assert sorted((s.p_index, s.q_index)) == [(n - 1) // 2, (n + 1) // 2]
+            assert (a, b) == ((n + 1) // 2, (n - 1) // 2)
+        assert sorted((a, b)) == [(n - 1) // 2, (n + 1) // 2]
 
 
 def test_split_product_range():
     ps = pell_sequence(2000)
     qs = pell_lucas_sequence(2000)
     for n in range(3, 2001, 2):
-        s = split_pell_minus_one(n)
-        assert s.p_part == ps[s.p_index]
-        assert s.q_part == qs[s.q_index]
-        assert s.p_part * s.q_part == ps[n] - 1
+        a, b = split_indices(n)
+        p_part, q_part = split_pell_minus_one(n)
+        assert p_part == ps[a]
+        assert q_part == qs[b]
+        assert p_part * q_part == ps[n] - 1
 
 
 def test_split_rejects_bad_indices():

@@ -7,7 +7,6 @@ from pellcheck.lehmer import (
     LehmerReason,
     LehmerStatus,
     lehmer_check,
-    witness_reject,
 )
 
 POLICY = FactorPolicy(trial_bound=1000, rho_budget_ms=200, max_total_ms=5000,
@@ -47,7 +46,6 @@ def test_candidate_15():
     v = lehmer_check(15, POLICY)
     assert v.status == LehmerStatus.REJECTED
     assert (v.reason, v.evidence) == (LehmerReason.FACTOR_WITNESS, 5)
-    assert witness_reject(15, 5)
 
 
 def test_full_check_failed_reachable():
@@ -62,19 +60,15 @@ def test_full_check_failed_reachable():
 
 
 @pytest.mark.parametrize("n,p,expected", [
-    (985, 197, True),
-    (985, 5, False),
-    (15, 5, True),
+    (985, 197, True),   # 196 does not divide 984
+    (985, 5, False),    # 4 divides 984, so the check goes on past 5
+    (15, 5, True),      # 4 does not divide 14
 ])
-def test_witness_reject_examples(n, p, expected):
-    assert witness_reject(n, p) is expected
-
-
-def test_witness_reject_validates():
-    with pytest.raises(ValueError):
-        witness_reject(985, 7)      # not a factor
-    with pytest.raises(ValueError):
-        witness_reject(985, 985)    # not prime
+def test_factor_witness_examples(n, p, expected):
+    v = lehmer_check(n, POLICY)
+    assert v.status == LehmerStatus.REJECTED
+    assert ((v.reason, v.evidence)
+            == (LehmerReason.FACTOR_WITNESS, p)) is expected
 
 
 def test_rejects_invalid_candidates():

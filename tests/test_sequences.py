@@ -8,7 +8,6 @@ from pellcheck.sequences import (
     pell_pair,
     pell_residue,
     pell_sequence,
-    size_bound_holds,
 )
 
 # first values straight from the recurrences
@@ -85,7 +84,7 @@ def test_monotonicity():
 
 
 def test_index_divisibility_to_1000():
-    # P_d | P_n whenever d | n; the verifier's factor seeding relies on it
+    # P_d | P_n whenever d | n
     ps = pell_sequence(1000)
     for n in range(2, 1001):
         for d in range(2, n):
@@ -95,7 +94,8 @@ def test_index_divisibility_to_1000():
 
 @pytest.mark.parametrize("n", [2, 3, 200])
 def test_size_bound_examples(n):
-    assert size_bound_holds(n)
+    # P_n >= 2^(n/2), in the exact squared form
+    assert pell_pair(n).p ** 2 >= 1 << n
 
 
 def test_size_bound_boundary():
@@ -103,11 +103,10 @@ def test_size_bound_boundary():
     assert pell_pair(2).p ** 2 == 2**2
 
 
-def test_size_bound_rejects_small_indices():
-    with pytest.raises(ValueError):
-        size_bound_holds(1)
-    with pytest.raises(ValueError):
-        size_bound_holds(0)
+def test_size_bound_fails_below_index_2():
+    # the bound is stated for n >= 2: P_0 = 0 < 1 and P_1 = 1 < 2^(1/2)
+    for n in (0, 1):
+        assert pell_pair(n).p ** 2 < 1 << n
 
 
 def test_size_bound_range():

@@ -1,21 +1,23 @@
 """Certified enclosures for the few transcendental comparisons we need.
 
-Endpoints are exact rationals, so interval sums and products introduce no
-rounding at all.  Width enters only through the logarithm and exponential
-enclosures, which sum an explicit number of series terms and then widen by
-a proven tail bound; endpoints are finally rounded outward to dyadic
+Endpoints are exact rationals, so interval products introduce no rounding
+at all.  Width enters only through the logarithm and exponential
+enclosures.  The logarithm sums the atanh series in integer fixed point,
+rounding the lower sum down and the upper sum up, and adds a proven tail
+bound; the exponential sums its series in exact rationals and widens by a
+proven tail bound.  Endpoints are finally rounded outward to dyadic
 rationals to keep denominators from snowballing.  A comparison is
 `certified` when the two enclosures separate; callers escalate precision
 until they do.
 
 This deliberately avoids machine floats: a boolean produced here can never
-be an artifact of rounding, and widening the precision can never flip a
-comparison that was already decided.
+be an artifact of rounding.  Every enclosure contains the true value, so a
+decided comparison is a true statement, and no precision can decide it the
+other way.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -47,17 +49,12 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __add__(self, other: "Interval | Rational") -> "Interval":
-        o = _coerce(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
-
     def __mul__(self, other: "Interval | Rational") -> "Interval":
         o = _coerce(other)
         products = (self.lo * o.lo, self.lo * o.hi,
                     self.hi * o.lo, self.hi * o.hi)
         return Interval(min(products), max(products))
 
-    __radd__ = __add__
     __rmul__ = __mul__
 
     def squared(self) -> "Interval":
@@ -66,9 +63,6 @@ class Interval:
         if self.hi <= 0:
             return Interval(self.hi * self.hi, self.lo * self.lo)
         return Interval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
-
-    def contains(self, x: Rational) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
 
     def gt(self, other: "Interval | Rational") -> Optional[bool]:
         """Certified strict 'greater than'; None when undecided."""
@@ -101,61 +95,54 @@ def _round_out(lo: Fraction, hi: Fraction, bits: int) -> Interval:
     return Interval(lo_r, hi_r)
 
 
-def _atanh_enclosure(t: Fraction, one_minus_t2_floor: Fraction,
-                     bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of atanh(t) = sum t^(2j+1)/(2j+1) for |t| < 1.
+def _atanh_bounds(u: int, v: int, prec: int) -> tuple[int, int]:
+    """Integers lo <= atanh(u/v) * 2**prec <= hi, for 0 <= u/v <= 1/3.
 
-    `one_minus_t2_floor` must be a lower bound on 1 - t*t; it controls the
-    geometric tail estimate.
+    atanh t = sum t**(2j+1)/(2j+1), summed in fixed point: the lower sum
+    and its powers take floors, the upper sum and its powers ceilings.
+    Summing stops once the next upper term is below one unit; the tail from
+    there is at most 9/8 of that term, because 1 - t*t >= 8/9.
     """
-    target = Fraction(1, 1 << (bits + 2))
-    s = Fraction(0)
-    tpow = t
-    t2 = t * t
-    j = 0
-    while True:
-        s += tpow / (2 * j + 1)
-        tpow *= t2
-        j += 1
-        tail = abs(tpow) / ((2 * j + 1) * one_minus_t2_floor)
-        if tail <= target:
-            break
-    if t >= 0:
-        return s, s + tail
-    return s - tail, s
-
-
-@functools.cache
-def ln2_interval(bits: int) -> Interval:
-    """Enclosure of ln 2 = 2*atanh(1/3)."""
-    lo, hi = _atanh_enclosure(Fraction(1, 3), Fraction(8, 9), bits + 1)
-    return _round_out(2 * lo, 2 * hi, bits + 4)
+    u2, v2 = u * u, v * v
+    lo_pow = (u << prec) // v
+    hi_pow = -(-(u << prec) // v)
+    lo = hi = 0
+    d = 1
+    while hi_pow >= d:
+        lo += lo_pow // d
+        hi += -(-hi_pow // d)
+        lo_pow = lo_pow * u2 // v2
+        hi_pow = -(-hi_pow * u2 // v2)
+        d += 2
+    return lo, hi - (-9 * hi_pow // (8 * d))
 
 
 def ln_interval(x: Rational, bits: int) -> Interval:
-    """Enclosure of ln x for a positive rational x, width about 2**-bits."""
-    m = Fraction(x)
-    if m <= 0:
+    """Enclosure of ln x for a positive rational x, width at most 2**-bits."""
+    x = Fraction(x)
+    if x <= 0:
         raise ValueError("ln needs a positive argument")
-    k = 0
-    while m >= Fraction(3, 2):
-        m /= 2
+    # x = m * 2**k with m = a/b in [3/4, 3/2)
+    p, q = x.numerator, x.denominator
+    k = p.bit_length() - q.bit_length()
+    a, b = p << max(-k, 0), q << max(k, 0)
+    if 2 * a >= 3 * b:
         k += 1
-    while m < Fraction(3, 4):
-        m *= 2
+        b *= 2
+    elif 4 * a < 3 * b:
         k -= 1
-    # |t| <= 1/5 for m in [3/4, 3/2), so 1 - t*t >= 24/25
-    t = (m - 1) / (m + 1)
-    lo, hi = _atanh_enclosure(t, Fraction(24, 25), bits + 2)
-    result = Interval(2 * lo, 2 * hi)
-    if k != 0:
-        result = result + ln2_interval(bits + 2) * k
-    return _round_out(result.lo, result.hi, bits + 4)
-
-
-def ln_of_interval(iv: Interval, bits: int) -> Interval:
-    """Monotone image: enclosure of {ln y : y in iv}, iv.lo > 0."""
-    return Interval(ln_interval(iv.lo, bits).lo, ln_interval(iv.hi, bits).hi)
+        a *= 2
+    # ln x = 2 atanh(t) + 2k atanh(1/3) with t = (m-1)/(m+1), |t| <= 1/5;
+    # k ln 2 loses about log2 |k| bits, so those are added as guard bits
+    prec = bits + 16 + abs(k).bit_length()
+    t_lo, t_hi = _atanh_bounds(abs(a - b), a + b, prec)
+    if a < b:
+        t_lo, t_hi = -t_hi, -t_lo
+    l2_lo, l2_hi = _atanh_bounds(1, 3, prec)
+    if k < 0:
+        l2_lo, l2_hi = l2_hi, l2_lo
+    return _round_out(Fraction(2 * (t_lo + k * l2_lo), 1 << prec),
+                      Fraction(2 * (t_hi + k * l2_hi), 1 << prec), bits + 4)
 
 
 def lnln_interval(x: Rational, bits: int) -> Interval:
@@ -163,7 +150,9 @@ def lnln_interval(x: Rational, bits: int) -> Interval:
     inner = ln_interval(x, bits + 4)
     if inner.lo <= 0:
         raise ValueError("ln ln needs ln x > 0; pass x noticeably above 1")
-    return ln_of_interval(inner, bits)
+    # ln is increasing, so the image of inner is [ln inner.lo, ln inner.hi]
+    return Interval(ln_interval(inner.lo, bits).lo,
+                    ln_interval(inner.hi, bits).hi)
 
 
 def exp_interval(x: Rational, bits: int) -> Interval:
@@ -194,8 +183,9 @@ def certify(decide: Callable[[int], Optional[bool]], *,
 
     `decide(bits)` evaluates a comparison with enclosures of roughly
     2**-bits width and returns None while undecided.  Escalation doubles
-    the precision; a comparison that was decided at some precision stays
-    decided (enclosures only shrink), so the answer is stable.
+    the precision.  Enclosures at different precisions need not nest, but
+    each contains the true value, so a decided comparison is a true
+    statement and every precision that decides it gives the same answer.
     """
     bits = start_bits
     while bits <= max_bits:

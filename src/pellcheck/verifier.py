@@ -40,7 +40,6 @@ from .intervals import (
     Interval,
     certify,
     exp_interval,
-    ln2_interval,
     ln_interval,
     lnln_interval,
 )
@@ -151,16 +150,14 @@ def e8_enclosure(bits: int = 48) -> Interval:
 
 
 def e8_threshold_check() -> bool:
-    """Certify e**8 < 3000 and the integer boundary around it.
+    """Certify 2980 < e**8 < 2981, and so e**8 < 3000.
 
-    The boundary checks pin down that ln ln n < 3 ln 2 holds at n = 2980
-    and fails at n = 2981, which (by monotonicity of ln) is the statement
-    that the integers strictly below e**8 are exactly those up to 2980.
+    ln is increasing, so ln ln n < 3 ln 2 holds exactly when n < e**8:
+    the integers it admits are exactly those up to 2980.
     """
-    below_3000 = certify(lambda b: e8_enclosure(b).lt(3000))
-    below = certify(lambda b: lnln_interval(2980, b).lt(ln2_interval(b) * 3))
-    above = certify(lambda b: lnln_interval(2981, b).gt(ln2_interval(b) * 3))
-    return below_3000 and below and above
+    above = certify(lambda b: e8_enclosure(b).gt(2980))
+    below = certify(lambda b: e8_enclosure(b).lt(2981))
+    return above and below
 
 
 @dataclass(frozen=True)

@@ -362,10 +362,17 @@ def test_bound_chain_validates_inputs():
 
 def test_bound_chain_booleans_stable_under_refinement():
     for n, k in ((300, 15), (3000, 15), (300, 1), (10**6, 15)):
-        assert certify(_ineq_a_decide(n, k)) == certify(
-            _ineq_a_decide(n, k), start_bits=768)
-        assert certify(_ineq_b_decide(n, k)) == certify(
-            _ineq_b_decide(n, k), start_bits=768)
+        for decide in (_ineq_a_decide(n, k), _ineq_b_decide(n, k)):
+            verdict = certify(decide)
+            assert certify(decide, start_bits=768) == verdict
+            assert certify(decide, start_bits=3072) == verdict
+    # the final inequality around its threshold, and the two comparisons
+    # of e8_threshold_check
+    for decide in (
+            *(verifier._final_inequality_decide(a, a) for a in range(16, 26)),
+            lambda bits: e8_enclosure(bits).gt(2980),
+            lambda bits: e8_enclosure(bits).lt(2981)):
+        assert certify(decide, start_bits=768) == certify(decide)
 
 
 def test_final_threshold():

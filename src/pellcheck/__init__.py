@@ -25,8 +25,6 @@ from .lehmer import (
 )
 from .sequences import (
     PellPair,
-    pell_iterative,
-    pell_lucas_iterative,
     pell_lucas_sequence,
     pell_pair,
     pell_sequence,
@@ -70,8 +68,6 @@ __all__ = [
     "is_probable_prime",
     "lehmer_check",
     "nu2",
-    "pell_iterative",
-    "pell_lucas_iterative",
     "pell_lucas_sequence",
     "pell_pair",
     "pell_sequence",

@@ -7,6 +7,8 @@ factorization is a pure function of (N, policy) -- wall-clock jitter can
 never flip a result, which keeps whole verification reports byte-identical
 across runs with the same seed.
 
+Every prime table, from the trial primes to p-1 stage 2's segments,
+comes from one odd-only segmented sieve (Bays and Hudson, BIT 17, 1977).
 Trial division takes one gcd per block of 128 consecutive primes up to
 the trial bound (each block's product is built once per bound) and scans
 a block prime by prime only when its gcd with what is left of n exceeds
@@ -76,12 +78,6 @@ _MR_PSI = (
 )
 _MR_RANDOM_ROUNDS = 64
 
-_SMALL_PRIME_SCREEN = frozenset((
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-    67, 71, 73, 79, 83, 89, 97,
-))
-_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIME_SCREEN)
-
 
 class BudgetExhausted(Exception):
     """Internal signal: the work meter ran dry mid-factorization."""
@@ -109,8 +105,8 @@ class WorkMeter:
             raise BudgetExhausted
 
 
-#: Largest trial_bound and pm1_b1: each sizes a prime sieve of that many
-#: bytes before any budget is charged.
+#: Largest trial_bound and pm1_b1: each sizes a prime sieve of about half
+#: that many bytes (one flag per odd number) before any budget is charged.
 MAX_SIEVE_BOUND = 10**8
 #: Largest pm1_b2: stage 2 lists its (pm1_b2 / segment) segments up front.
 MAX_PM1_B2 = 10**13
@@ -187,9 +183,6 @@ class Factorization:
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 # ---------------------------------------------------------------------------
 # primality
@@ -247,20 +240,6 @@ def is_probable_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sieves
 
-@functools.cache
-def small_primes(bound: int) -> list[int]:
-    """All primes <= bound, cached per bound."""
-    if bound < 2:
-        return []
-    bs = bytearray(b"\x01") * (bound + 1)
-    bs[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
-        if bs[p]:
-            start = p * p
-            bs[start::p] = bytes((bound - start) // p + 1)
-    return list(compress(range(bound + 1), bs))
-
-
 #: Trial division takes one gcd per block of this many consecutive primes.
 _TRIAL_BLOCK = 128
 
@@ -307,6 +286,20 @@ def _segment_sieve(lo: int, hi: int, base: list[int]) -> tuple[int, bytearray]:
             j = min(count, i + p * _SIEVE_RUN)
             flags[i:j:p] = zeros[:len(range(i, j, p))]
     return start, flags
+
+
+@functools.cache
+def small_primes(bound: int) -> list[int]:
+    """All primes <= bound, cached per bound: 2, then the primes that the
+    one odd-only sieve, _segment_sieve, flags in (1, bound]."""
+    if bound < 2:
+        return []
+    start, flags = _segment_sieve(1, bound, small_primes(math.isqrt(bound)))
+    return [2, *compress(range(start, bound + 1, 2), flags)]
+
+
+_SMALL_PRIME_SCREEN = frozenset(small_primes(97))
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIME_SCREEN)
 
 
 # ---------------------------------------------------------------------------

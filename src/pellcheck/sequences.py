@@ -2,8 +2,8 @@
 
 The Pell sequence is P_0=0, P_1=1, P_{n+2} = 2*P_{n+1} + P_n; its companion
 is Q_0=2, Q_1=2, Q_{n+2} = 2*Q_{n+1} + Q_n.  Two independent evaluation
-paths are provided: plain iteration of the recurrences, and a binary
-doubling ladder using
+paths are provided: plain iteration of the recurrences (pell_sequence and
+pell_lucas_sequence, one loop for both), and a binary doubling ladder using
 
     P_{2m} = P_m * Q_m
     Q_{2m} = Q_m**2 - 2*(-1)**m
@@ -73,44 +73,24 @@ def pell_residue(n: int, modulus: int) -> int:
     return _ladder(n, modulus)[0]
 
 
-def pell_iterative(n: int) -> int:
-    """P_n by straight iteration of the recurrence; oracle for pell_pair."""
-    if n < 0:
+def _recurrence(first: int, second: int, n_max: int) -> list[int]:
+    """[a_0, ..., a_{n_max}] for a_{n+2} = 2*a_{n+1} + a_n in one pass."""
+    if n_max < 0:
         raise ValueError("index must be >= 0")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, 2 * b + a
-    return a
-
-
-def pell_lucas_iterative(n: int) -> int:
-    """Q_n by straight iteration of the companion recurrence."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    a, b = 2, 2
-    for _ in range(n):
-        a, b = b, 2 * b + a
-    return a
+    seq = [first, second]
+    while len(seq) <= n_max:
+        seq.append(2 * seq[-1] + seq[-2])
+    return seq[: n_max + 1]
 
 
 def pell_sequence(n_max: int) -> list[int]:
-    """[P_0, ..., P_{n_max}] in one linear pass."""
-    if n_max < 0:
-        raise ValueError("index must be >= 0")
-    seq = [0, 1]
-    while len(seq) <= n_max:
-        seq.append(2 * seq[-1] + seq[-2])
-    return seq[: n_max + 1]
+    """[P_0, ..., P_{n_max}] by iteration; the oracle for the ladder."""
+    return _recurrence(0, 1, n_max)
 
 
 def pell_lucas_sequence(n_max: int) -> list[int]:
-    """[Q_0, ..., Q_{n_max}] in one linear pass."""
-    if n_max < 0:
-        raise ValueError("index must be >= 0")
-    seq = [2, 2]
-    while len(seq) <= n_max:
-        seq.append(2 * seq[-1] + seq[-2])
-    return seq[: n_max + 1]
+    """[Q_0, ..., Q_{n_max}] by iteration; the oracle for the ladder."""
+    return _recurrence(2, 2, n_max)
 
 
 def digits10(n: int) -> int:

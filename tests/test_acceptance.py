@@ -15,8 +15,6 @@ import pytest
 from pellcheck.arith import FactorPolicy, factor, euler_phi
 from pellcheck.lehmer import LehmerStatus, lehmer_check
 from pellcheck.sequences import (
-    pell_iterative,
-    pell_lucas_iterative,
     pell_lucas_sequence,
     pell_pair,
     pell_sequence,
@@ -100,11 +98,6 @@ def test_criterion_5_oracle_equivalence():
         (pair := pell_pair(n)).p == ps[n] and pair.q == qs[n]
         for n in range(5001)
     )
-    # the sequence lists are literal recurrence iteration; spot-check the
-    # per-call iterative entry points against them as well
-    seq_ok = seq_ok and all(pell_iterative(n) == ps[n] for n in range(0, 401))
-    seq_ok = seq_ok and all(
-        pell_lucas_iterative(n) == qs[n] for n in range(0, 401))
 
     # (b) euler_phi vs exhaustive gcd counting, N <= 10^4
     bound_b = 10**4

@@ -210,7 +210,7 @@ def test_factor_finds_medium_factors_with_rho():
     f = factor(n, FactorPolicy(trial_bound=1000, rho_budget_ms=2000,
                                max_total_ms=30000, pm1_b1=0, pm1_b2=0))
     assert f.complete
-    assert f.primes() == (1000000007, 1000000009)
+    assert [p for p, _ in f.factors] == [1000000007, 1000000009]
 
 
 def test_factor_pm1_stage1_path():
@@ -539,7 +539,7 @@ def test_pm1_stage1_replay_splits_two_smooth_primes(monkeypatch, bits):
     assert arith._pm1_stage1(n, b1, WorkMeter(10**9)) == (P_9137, 0)
     f = factor(n, FactorPolicy(trial_bound=100, rho_budget_ms=1,
                                pm1_b1=b1, pm1_b2=0))
-    assert f.primes() == (P_9137, P_9161)
+    assert [p for p, _ in f.factors] == [P_9137, P_9161]
 
 
 def test_pm1_stage1_one_power_reaching_n_goes_on_to_rho(monkeypatch):

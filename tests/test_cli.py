@@ -14,7 +14,7 @@ import pytest
 from pellcheck import cli, identities, pool, verifier
 from pellcheck.arith import FactorPolicy
 from pellcheck.cli import build_parser, main
-from pellcheck.sequences import pell_iterative
+from pellcheck.sequences import pell_sequence
 from pellcheck.verifier import big_int_strings
 from processes import HAS_PROC, session_members, wait_until
 
@@ -45,7 +45,7 @@ def test_pell_big_value_exact(capsys):
     digits = out.strip()
     assert len(digits) == 7656
     # Decimal parses any length, so the check needs no lifted guard
-    assert int(decimal.Decimal(digits)) == pell_iterative(20000)
+    assert int(decimal.Decimal(digits)) == pell_sequence(20000)[-1]
 
 
 def test_pell_pair(capsys):

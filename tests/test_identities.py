@@ -105,9 +105,9 @@ def test_residue_of_every_factor_for_odd_n():
     for n in range(3, 60, 2):
         f = factor(pell_pair(n).p)
         assert f.complete, n
-        assert all(q % 4 == 1 for q in f.primes()), n
+        assert all(q % 4 == 1 for q, _ in f.factors), n
 
 
 def test_residue_fact_needs_an_odd_index():
     # P_4 = 12 = 2^2 * 3
-    assert [q % 4 for q in factor(pell_pair(4).p).primes()] == [2, 3]
+    assert [q % 4 for q, _ in factor(pell_pair(4).p).factors] == [2, 3]

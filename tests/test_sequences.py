@@ -2,8 +2,6 @@ import pytest
 
 from pellcheck.sequences import (
     digits10,
-    pell_iterative,
-    pell_lucas_iterative,
     pell_lucas_sequence,
     pell_pair,
     pell_residue,
@@ -28,17 +26,18 @@ def test_pell_pair_examples(n, p, q):
 
 @pytest.mark.parametrize("n,expected", [(5, 29), (9, 985), (0, 0)])
 def test_pell_iterative_examples(n, expected):
-    assert pell_iterative(n) == expected
+    assert pell_sequence(n)[n] == expected
 
 
 @pytest.mark.parametrize("n,expected", [(3, 14), (5, 82), (1, 2)])
 def test_pell_lucas_iterative_examples(n, expected):
-    assert pell_lucas_iterative(n) == expected
+    assert pell_lucas_sequence(n)[n] == expected
 
 
 def test_first_values():
-    assert [pell_iterative(n) for n in range(len(PELL))] == PELL
-    assert [pell_lucas_iterative(n) for n in range(len(PELL_LUCAS))] == PELL_LUCAS
+    assert [pell_sequence(n)[n] for n in range(len(PELL))] == PELL
+    assert ([pell_lucas_sequence(n)[n] for n in range(len(PELL_LUCAS))]
+            == PELL_LUCAS)
 
 
 def test_sequences_match_iteratives():
@@ -116,7 +115,7 @@ def test_size_bound_range():
 
 
 def test_negative_index_rejected():
-    for fn in (pell_pair, pell_iterative, pell_lucas_iterative):
+    for fn in (pell_pair, pell_sequence, pell_lucas_sequence):
         with pytest.raises(ValueError):
             fn(-1)
 

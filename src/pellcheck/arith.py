@@ -12,13 +12,15 @@ comes from one odd-only segmented sieve (Bays and Hudson, BIT 17, 1977).
 Trial division takes one gcd per block of 128 consecutive primes up to
 the trial bound (each block's product is built once per bound) and scans
 a block prime by prime only when its gcd with what is left of n exceeds
-1, so it finds the same primes in the same order as dividing by each
-prime in turn, and it stops at the first block whose least prime squared
-exceeds what is left.  Primality is deterministic Miller-Rabin below
-psi_13 ~ 3.3e24, with the first k prime bases for n below psi_k, the
-least strong pseudoprime to those k bases; above psi_13 it takes 64
-rounds with bases hashed from n.  Neither the block length nor the base
-tiers have a setting.
+1, and then only until that gcd is divided out.  It stops at the first
+block whose least prime squared exceeds what is left, and as soon as
+what is left after a recorded prime is (probably) prime, which it
+records.  So it finds the same primes in the same order as dividing by
+each prime in turn, for the same flat charge.  Primality is
+deterministic Miller-Rabin below psi_13 ~ 3.3e24, with the first k prime
+bases for n below psi_k, the least strong pseudoprime to those k bases;
+above psi_13 it takes 64 rounds with bases hashed from n.  Neither the
+block length nor the base tiers have a setting.
 
 The splitting pipeline for a stubborn composite is, in order of cost:
 perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
@@ -574,7 +576,13 @@ def factor(n: int, policy: FactorPolicy = FactorPolicy(), *,
     """Factor n under the policy's budgets.
 
     Trial division by primes up to policy.trial_bound runs first, then the
-    splitting pipeline attacks what remains.
+    splitting pipeline attacks what remains.  Trial division ends at the
+    first block whose least prime squared exceeds what is left, or as
+    soon as what is left after a recorded prime is a probable prime, which
+    it records; a block whose gcd exceeds 1 is scanned only until that gcd
+    is divided out.  Either way the primes, their order and the flat
+    charge of one unit per 8 primes are those of dividing by each prime
+    in turn.
     `on_prime` is invoked as each prime factor is confirmed, with the
     prime and its full exponent in n; returning True stops the
     factorization early, leaving whatever remains in the cofactor.
@@ -617,14 +625,23 @@ def factor(n: int, policy: FactorPolicy = FactorPolicy(), *,
             starts = range(0, len(primes), _TRIAL_BLOCK)
             for lo, product in zip(starts, _trial_products(bound)):
                 if primes[lo] * primes[lo] > remaining:
-                    break
-                if math.gcd(remaining, product) == 1:
+                    break  # also ends the walk once remaining is 1
+                g = math.gcd(remaining, product)
+                if g == 1:
                     continue  # no prime of this block divides remaining
-                for p in islice(primes, lo, lo + _TRIAL_BLOCK):
-                    if p * p > remaining:
-                        break
-                    if remaining % p == 0 and record(p):
-                        stopped = True
+                # g is the product of the block's primes that divide
+                # remaining: scan only until each is divided out
+                for p in primes[lo:lo + _TRIAL_BLOCK]:
+                    if g % p:
+                        continue
+                    g //= p
+                    stopped = record(p)
+                    if (not stopped and remaining > 1
+                            and is_probable_prime(remaining)):
+                        # the prime the walk or the pending loop would
+                        # record next, with nothing recorded before it
+                        stopped = record(remaining)
+                    if stopped or g == 1 or remaining == 1:
                         break
                 if stopped:
                     break

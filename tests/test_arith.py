@@ -353,6 +353,25 @@ def test_trial_blocks_match_reference_at_block_edges(no_splitting):
     assert_trial_matches_reference(values, FactorPolicy(), lehmer_stop)
 
 
+def test_trial_blocks_match_reference_at_prime_remainders(no_splitting):
+    # what is left after the 3 (or 5) is prime, a prime square, or a
+    # product that one hit block divides out prime by prime
+    sympy = pytest.importorskip("sympy")
+    bound = FactorPolicy().trial_bound
+    q, last = block_edges()[600]
+    r = sympy.nextprime(q)
+    assert r <= last  # q and r share block 600
+    big = sympy.nextprime(bound)
+    values = [3 * sympy.prevprime(bound), 3 * big,
+              3 * sympy.prevprime((bound + 1) ** 2),
+              3 * 999_007 ** 2,        # block 612, the last but one
+              3 * 999_491 ** 2,        # the least prime of the last block
+              3 * q * r, 3 * q * r * big,
+              3 * 5 * 701]             # 701 is left inside the first block
+    assert_trial_matches_reference(values, FactorPolicy())
+    assert_trial_matches_reference(values, FactorPolicy(), lehmer_stop)
+
+
 def test_trial_stops_inside_a_block(no_splitting):
     n = 3 * 5 * 7 * 11 * 13
     for stop_at in (3, 7, 13):
@@ -419,6 +438,8 @@ def test_block_gcd_reads_the_current_remaining(monkeypatch):
 
     monkeypatch.setattr(arith, "math", SpyMath())
     big = sympy.nextprime(10**12)
+    # what is left turns prime only once 999,983 is divided out, and that
+    # prime is in the last block, so the walk still takes every block's gcd
     n = 3 * 3 * 7919 * 999_983 * big
     f = factor(n, FactorPolicy(), on_prime=on_prime)
     assert f.factors == ((3, 2), (7919, 1), (999_983, 1), (big, 1))
@@ -431,6 +452,34 @@ def test_block_gcd_reads_the_current_remaining(monkeypatch):
             assert value == remaining
             gcds += 1
     assert gcds >= len(block_edges())
+
+
+@pytest.mark.parametrize("q", [
+    333_333_333_323,
+    10**40 + 121,   # nextprime(10**40), past psi_13
+], ids=["below-psi13", "probable-prime"])
+def test_trial_ends_when_what_is_left_is_prime(monkeypatch, q):
+    # after the 3, what is left is prime, so no later block is read: one
+    # block gcd, where walking the blocks up to sqrt(q) would take 371, or
+    # all 614 (is_probable_prime's own gcd is not counted)
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(q)
+    products = set(arith._trial_products(FactorPolicy().trial_bound))
+    block_gcds = []
+
+    class SpyMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def gcd(self, a, b):
+            if b in products:
+                block_gcds.append(a)
+            return math.gcd(a, b)
+
+    monkeypatch.setattr(arith, "math", SpyMath())
+    f = factor(3 * q)
+    assert f.factors == ((3, 1), (q, 1)) and f.cofactor == 1
+    assert block_gcds == [3 * q]
 
 
 def test_brent_rho_tells_collision_from_exhaustion():

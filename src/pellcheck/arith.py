@@ -8,7 +8,9 @@ never flip a result, which keeps whole verification reports byte-identical
 across runs with the same seed.
 
 Every prime table, from the trial primes to p-1 stage 2's segments,
-comes from one odd-only segmented sieve (Bays and Hudson, BIT 17, 1977).
+comes from one odd-only segmented sieve (Bays and Hudson, BIT 17, 1977),
+and small_primes returns each of its tables as a packed array, 4 bytes
+per prime.
 Trial division takes one gcd per block of 128 consecutive primes up to
 the trial bound (each block's product is built once per bound) and scans
 a block prime by prime only when its gcd with what is left of n exceeds
@@ -20,7 +22,9 @@ each prime in turn, for the same flat charge.  Primality is
 deterministic Miller-Rabin below psi_13 ~ 3.3e24, with the first k prime
 bases for n below psi_k, the least strong pseudoprime to those k bases;
 above psi_13 it takes 64 rounds with bases hashed from n.  Neither the
-block length nor the base tiers have a setting.
+block length nor the base tiers have a setting.  hashlib, and with it
+OpenSSL, is imported only for those hashed bases and for rho's random
+starts, so a process that needs neither never loads it.
 
 The splitting pipeline for a stubborn composite is, in order of cost:
 perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
@@ -44,9 +48,9 @@ from __future__ import annotations
 
 import bisect
 import functools
-import hashlib
 import math
 import random
+from array import array
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import compress, islice
@@ -109,6 +113,7 @@ class WorkMeter:
 
 #: Largest trial_bound and pm1_b1: each sizes a prime sieve of about half
 #: that many bytes (one flag per odd number) before any budget is charged.
+#: It is below 2**32, so small_primes can pack its primes in 4 bytes.
 MAX_SIEVE_BOUND = 10**8
 #: Largest pm1_b2: stage 2 lists its (pm1_b2 / segment) segments up front.
 MAX_PM1_B2 = 10**13
@@ -206,7 +211,12 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 
 
 def _hashed_bases(n: int, count: int) -> Iterator[int]:
-    """Deterministic, platform-stable pseudo-random bases derived from n."""
+    """Deterministic, platform-stable pseudo-random bases derived from n.
+
+    Only is_probable_prime above psi_13 asks for these, so hashlib (and
+    with it OpenSSL) is imported here, not when the module loads."""
+    import hashlib
+
     span = n - 3
     for i in range(count):
         h = hashlib.sha256(f"pellcheck-mr:{n}:{i}".encode()).digest()
@@ -261,7 +271,8 @@ def _trial_products(bound: int) -> list[int]:
 _SIEVE_RUN = 1 << 16
 
 
-def _segment_sieve(lo: int, hi: int, base: list[int]) -> tuple[int, bytearray]:
+def _segment_sieve(lo: int, hi: int,
+                   base: array[int]) -> tuple[int, bytearray]:
     """Prime flags for the odd numbers start, start + 2, ... <= hi.
 
     start is the least odd number above lo, and flags[i] is 1 exactly when
@@ -291,13 +302,21 @@ def _segment_sieve(lo: int, hi: int, base: list[int]) -> tuple[int, bytearray]:
 
 
 @functools.cache
-def small_primes(bound: int) -> list[int]:
+def small_primes(bound: int) -> array[int]:
     """All primes <= bound, cached per bound: 2, then the primes that the
-    one odd-only sieve, _segment_sieve, flags in (1, bound]."""
-    if bound < 2:
-        return []
-    start, flags = _segment_sieve(1, bound, small_primes(math.isqrt(bound)))
-    return [2, *compress(range(start, bound + 1, 2), flags)]
+    one odd-only sieve, _segment_sieve, flags in (1, bound].
+
+    The table is a packed array("I"), 4 bytes per prime rather than a
+    list's pointer plus int object; every bound is at most MAX_SIEVE_BOUND
+    < 2**32.  Callers index, slice and iterate it, and must not mutate
+    the cached table."""
+    primes = array("I")
+    if bound >= 2:
+        start, flags = _segment_sieve(1, bound,
+                                      small_primes(math.isqrt(bound)))
+        primes.append(2)
+        primes.extend(compress(range(start, bound + 1, 2), flags))
+    return primes
 
 
 _SMALL_PRIME_SCREEN = frozenset(small_primes(97))
@@ -334,6 +353,12 @@ def _perfect_power_split(n: int) -> Optional[int]:
 
 
 def _rho_rng(seed: int, n: int, attempt: int) -> random.Random:
+    """The random source of one rho attempt, hashed from (seed, n, attempt).
+
+    hashlib is imported here, as in _hashed_bases, so a process that never
+    runs rho or tests a number above psi_13 never loads OpenSSL."""
+    import hashlib
+
     h = hashlib.sha256(f"pellcheck-rho:{seed}:{n}:{attempt}".encode()).digest()
     return random.Random(int.from_bytes(h, "big"))
 

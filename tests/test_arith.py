@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from array import array
 from itertools import compress
 
 import pytest
@@ -814,6 +815,35 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         assert result.stdout.splitlines()[-1] == "0 []", n_max
 
 
+def test_openssl_loads_only_for_hashed_bases():
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True)
+    assert bare.returncode == 0, bare.stderr
+    if bare.stdout != "False\n":
+        pytest.skip("the bare interpreter loads _hashlib at startup")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pellcheck.__file__)))
+    # none of these tests a number above psi_13 or runs rho in this process;
+    # P_101 is above psi_13, so its test needs hashed bases
+    script = (
+        "import sys\n"
+        "from pellcheck import (bound_chain, is_probable_prime, lehmer_check,\n"
+        "                       pell_pair, run_identity_suite, verify_range)\n"
+        "lehmer_check(999_999_999_995)\n"
+        "bound_chain(2500, 16)\n"
+        "run_identity_suite(100)\n"
+        "verify_range(40)\n"
+        "print('_hashlib' in sys.modules)\n"
+        "assert is_probable_prime(pell_pair(101).p)\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nTrue\n"
+
+
 # ---------------------------------------------------------------------------
 # totient / valuations
 
@@ -895,12 +925,22 @@ def test_policy_refuses_bounds_that_size_oversized_tables(field, limit):
 
 
 def test_small_primes():
-    assert small_primes(1) == []
-    assert small_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert list(small_primes(1)) == []
+    assert list(small_primes(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(small_primes(10**6)) == 78498
     # against trial division by every smaller number, for each bound
     primes = []
     for bound in range(2_001):
         if bound >= 2 and all(bound % d for d in range(2, bound)):
             primes.append(bound)
-        assert small_primes(bound) == primes, bound
+        assert list(small_primes(bound)) == primes, bound
+
+
+def test_small_primes_are_packed():
+    primes = small_primes(10**6)
+    assert isinstance(primes, array)
+    assert primes.typecode == "I"
+    assert len(primes) == 78498
+    # a list's pointer block alone would take 628,040 bytes
+    assert sys.getsizeof(primes) < 400_000
+    assert arith.MAX_SIEVE_BOUND < 2 ** (8 * primes.itemsize)

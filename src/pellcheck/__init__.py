@@ -23,12 +23,7 @@ from .lehmer import (
     LehmerVerdict,
     lehmer_check,
 )
-from .sequences import (
-    PellPair,
-    pell_lucas_sequence,
-    pell_pair,
-    pell_sequence,
-)
+from .sequences import PellPair, pell_pair
 from .verifier import (
     LEHMER_OMEGA_MIN,
     BoundReport,
@@ -68,9 +63,7 @@ __all__ = [
     "is_probable_prime",
     "lehmer_check",
     "nu2",
-    "pell_lucas_sequence",
     "pell_pair",
-    "pell_sequence",
     "run_identity_suite",
     "split_pell_minus_one",
     "verify_index",

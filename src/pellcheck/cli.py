@@ -30,8 +30,8 @@ from .verifier import (
 #: the largest index any command accepts
 INDEX_CAP = 1_000_000
 
-#: the largest `identities --n-max`: the suite keeps P_0..P_N and Q_0..Q_N,
-#: about 0.08 * N**2 bytes each (32 MB at this bound)
+#: the largest `identities --n-max`; it bounds time (about 4 s at this
+#: bound), since the suite holds a constant number of values at any N
 IDENTITIES_N_MAX = 20_000
 
 #: (flag, FactorPolicy field, help) for each policy flag; the defaults are

@@ -2,8 +2,10 @@
 
 The Pell sequence is P_0=0, P_1=1, P_{n+2} = 2*P_{n+1} + P_n; its companion
 is Q_0=2, Q_1=2, Q_{n+2} = 2*Q_{n+1} + Q_n.  Two independent evaluation
-paths are provided: plain iteration of the recurrences (pell_sequence and
-pell_lucas_sequence, one loop for both), and a binary doubling ladder using
+paths are provided: plain iteration of both recurrences in one loop
+(pell_pairs, a stream of (P_n, Q_n) that holds only the last two pairs, so
+the identity suite walks it in constant space; pell_sequence and
+pell_lucas_sequence are slices of it), and a binary doubling ladder using
 
     P_{2m} = P_m * Q_m
     Q_{2m} = Q_m**2 - 2*(-1)**m
@@ -18,6 +20,8 @@ mutual oracles in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -73,24 +77,29 @@ def pell_residue(n: int, modulus: int) -> int:
     return _ladder(n, modulus)[0]
 
 
-def _recurrence(first: int, second: int, n_max: int) -> list[int]:
-    """[a_0, ..., a_{n_max}] for a_{n+2} = 2*a_{n+1} + a_n in one pass."""
+def pell_pairs() -> Iterator[tuple[int, int]]:
+    """(P_n, Q_n) for n = 0, 1, 2, ... by iterating both recurrences."""
+    p, q, p_next, q_next = 0, 2, 1, 2
+    while True:
+        yield p, q
+        p, q, p_next, q_next = p_next, q_next, 2 * p_next + p, 2 * q_next + q
+
+
+def _slice(n_max: int, which: int) -> list[int]:
+    """Entry `which` of the first n_max + 1 pairs of pell_pairs()."""
     if n_max < 0:
         raise ValueError("index must be >= 0")
-    seq = [first, second]
-    while len(seq) <= n_max:
-        seq.append(2 * seq[-1] + seq[-2])
-    return seq[: n_max + 1]
+    return [pair[which] for pair in islice(pell_pairs(), n_max + 1)]
 
 
 def pell_sequence(n_max: int) -> list[int]:
     """[P_0, ..., P_{n_max}] by iteration; the oracle for the ladder."""
-    return _recurrence(0, 1, n_max)
+    return _slice(n_max, 0)
 
 
 def pell_lucas_sequence(n_max: int) -> list[int]:
     """[Q_0, ..., Q_{n_max}] by iteration; the oracle for the ladder."""
-    return _recurrence(2, 2, n_max)
+    return _slice(n_max, 1)
 
 
 def digits10(n: int) -> int:

@@ -22,6 +22,7 @@ import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from . import pool
@@ -44,8 +45,7 @@ from .intervals import (
     lnln_interval,
 )
 from .lehmer import LehmerReason, LehmerStatus, LehmerVerdict, lehmer_check
-from .sequences import (digits10, pell_lucas_sequence, pell_pair,
-                        pell_residue, pell_sequence)
+from .sequences import digits10, pell_pair, pell_pairs, pell_residue
 
 #: The version of the canonical report's layout, written as its "schema".
 REPORT_SCHEMA = 1
@@ -773,39 +773,46 @@ def run_identity_suite(n_max: int,
     rules nu2(Q_n) = 1, nu2(P_n) = nu2(n) (n <= nu2_n_max, defaulting to
     n_max); and the derived transfer nu2(P_n - 1) = nu2(n - eps) for odd
     n, eps = +1 when n = 1 mod 4 and -1 when n = 3 mod 4.
+
+    One walk of pell_pairs() feeds every check, and a lagging walk holds
+    the pairs at (n - 1) / 2 and (n + 1) / 2 for the split, so the suite
+    holds a constant number of values.
     """
     if nu2_n_max is None:
         nu2_n_max = n_max
     top = max(n_max, nu2_n_max)
-    failures: list[str] = []
-    pq_ok = split_ok = valn_ok = transfer_ok = True
+    if top < 0:
+        raise ValueError("index must be >= 0")
+    pq_failures: list[str] = []
+    valn_failures: list[str] = []
+    odd_failures: list[str] = []
+    split_ok = transfer_ok = True
 
-    ps = pell_sequence(top)
-    qs = pell_lucas_sequence(top)
-
-    for n in range(0, n_max + 1):
-        if not pq_relation_holds(n, ps[n], qs[n]):
-            pq_ok = False
-            failures.append(f"pq_relation fails at n={n}")
-    for n in range(1, nu2_n_max + 1):
-        if not nu2_lemma_holds(n, ps[n], qs[n]):
-            valn_ok = False
-            failures.append(f"nu2_lemma fails at n={n}")
-    for n in range(3, n_max + 1, 2):
+    lagging = pell_pairs()
+    window = (next(lagging), next(lagging))
+    for n, (p, q) in enumerate(islice(pell_pairs(), top + 1)):
+        if n <= n_max and not pq_relation_holds(n, p, q):
+            pq_failures.append(f"pq_relation fails at n={n}")
+        if 1 <= n <= nu2_n_max and not nu2_lemma_holds(n, p, q):
+            valn_failures.append(f"nu2_lemma fails at n={n}")
+        if n < 3 or n % 2 == 0 or n > n_max:
+            continue
+        window = (window[1], next(lagging))
+        h = (n - 1) // 2
         a, b = split_indices(n)
-        if not split_product_holds(ps[n], ps[a], qs[b]):
+        if not split_product_holds(p, window[a - h][0], window[b - h][1]):
             split_ok = False
-            failures.append(f"split_product fails at n={n}")
-        if not nu2_transfer_holds(n, ps[n]):
+            odd_failures.append(f"split_product fails at n={n}")
+        if not nu2_transfer_holds(n, p):
             transfer_ok = False
-            failures.append(f"nu2_transfer fails at n={n}")
+            odd_failures.append(f"nu2_transfer fails at n={n}")
 
     return IdentitySuiteResult(
         n_max=n_max,
         nu2_n_max=nu2_n_max,
-        pq_relation_ok=pq_ok,
+        pq_relation_ok=not pq_failures,
         split_product_ok=split_ok,
-        nu2_lemma_ok=valn_ok,
+        nu2_lemma_ok=not valn_failures,
         nu2_transfer_ok=transfer_ok,
-        failures=tuple(failures),
+        failures=tuple(pq_failures + valn_failures + odd_failures),
     )

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ import pytest
 
 from pellcheck import arith, cli, pool, verifier
 from pellcheck.arith import STAGES, FactorPolicy, Factorization, factor
+from pellcheck.identities import split_indices
 from pellcheck.lehmer import LehmerReason, LehmerStatus
-from pellcheck.sequences import digits10, pell_pair, pell_sequence
+from pellcheck.sequences import digits10, pell_pair
 from pellcheck.verifier import (
     FactorCache,
     IndexReport,
@@ -706,7 +708,80 @@ def test_identity_suite():
     assert result.failures == ()
 
 
-def test_identity_suite_matches_sequences():
-    # cross-check one value the suite depends on against the public API
-    ps = pell_sequence(9)
-    assert ps[9] - 1 == 984
+# (label in the failure lines, result flag, the n a call of the predicate
+# is for, the last index the suite checks with it)
+_PREDICATES = {
+    "pq_relation_holds": ("pq_relation", "pq_relation_ok",
+                          lambda n, p, q: n, lambda n_max, nu2_max: n_max),
+    "nu2_lemma_holds": ("nu2_lemma", "nu2_lemma_ok",
+                        lambda n, p, q: n, lambda n_max, nu2_max: nu2_max),
+    "split_product_holds": ("split_product", "split_product_ok",
+                            lambda p_n, p_a, q_b: _INDEX_OF_P.get(p_n),
+                            lambda n_max, nu2_max: n_max),
+    "nu2_transfer_holds": ("nu2_transfer", "nu2_transfer_ok",
+                           lambda n, p: n, lambda n_max, nu2_max: n_max),
+}
+_INDEX_OF_P = {pell_pair(n).p: n for n in range(80)}
+
+
+@pytest.mark.parametrize("bounds", [(41, 60), (61, 41)])
+@pytest.mark.parametrize("name", sorted(_PREDICATES))
+def test_identity_suite_reports_planted_failures(monkeypatch, name, bounds):
+    # faults at an n = 1 (mod 4), an n = 3 (mod 4), the last checked index
+    # and one past it, which the suite must not reach
+    label, flag, index_of, last = _PREDICATES[name]
+    n_max, nu2_n_max = bounds
+    top = last(n_max, nu2_n_max)
+    planted = (13, 19, top, top + 2)
+    real = getattr(verifier, name)
+    monkeypatch.setattr(
+        verifier, name,
+        lambda *args: real(*args) and index_of(*args) not in planted)
+    result = run_identity_suite(n_max, nu2_n_max=nu2_n_max)
+    assert result.failures == (f"{label} fails at n=13",
+                               f"{label} fails at n=19",
+                               f"{label} fails at n={top}")
+    for other in ("pq_relation_ok", "split_product_ok", "nu2_lemma_ok",
+                  "nu2_transfer_ok"):
+        assert getattr(result, other) is (other != flag)
+
+
+def test_identity_suite_lists_failures_check_by_check(monkeypatch):
+    for name in _PREDICATES:
+        monkeypatch.setattr(verifier, name, lambda *args: False)
+    result = run_identity_suite(5, nu2_n_max=2)
+    assert result.failures == (
+        *(f"pq_relation fails at n={n}" for n in range(6)),
+        "nu2_lemma fails at n=1", "nu2_lemma fails at n=2",
+        "split_product fails at n=3", "nu2_transfer fails at n=3",
+        "split_product fails at n=5", "nu2_transfer fails at n=5")
+
+
+def test_identity_suite_splits_with_the_ladder_values(monkeypatch):
+    # the lagging window must hand the split exactly P_n, P_a and Q_b
+    calls = []
+    real = verifier.split_product_holds
+
+    def spy(p_n, p_a, q_b):
+        calls.append((p_n, p_a, q_b))
+        return real(p_n, p_a, q_b)
+
+    monkeypatch.setattr(verifier, "split_product_holds", spy)
+    assert run_identity_suite(301).all_ok
+    expected = []
+    for n in range(3, 302, 2):
+        a, b = split_indices(n)
+        expected.append((pell_pair(n).p, pell_pair(a).p, pell_pair(b).q))
+    assert calls == expected
+
+
+def test_identity_suite_holds_a_constant_number_of_values():
+    # keeping every P_n and Q_n to 10^4 would take about 17 MB
+    tracemalloc.start()
+    try:
+        result = run_identity_suite(5000, nu2_n_max=10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.all_ok
+    assert peak < 1 << 20

@@ -21,10 +21,10 @@ records.  So it finds the same primes in the same order as dividing by
 each prime in turn, for the same flat charge.  Primality is
 deterministic Miller-Rabin below psi_13 ~ 3.3e24, with the first k prime
 bases for n below psi_k, the least strong pseudoprime to those k bases;
-above psi_13 it takes 64 rounds with bases hashed from n.  Neither the
-block length nor the base tiers have a setting.  hashlib, and with it
-OpenSSL, is imported only for those hashed bases and for rho's random
-starts, so a process that needs neither never loads it.
+above psi_13 it takes 64 rounds with bases drawn from a random.Random
+seeded with n.  Neither the block length nor the base tiers have a
+setting.  hashlib, and with it OpenSSL, is imported only for rho's
+random starts, so a process that never runs rho never loads it.
 
 The splitting pipeline for a stubborn composite is, in order of cost:
 perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
@@ -210,26 +210,15 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def _hashed_bases(n: int, count: int) -> Iterator[int]:
-    """Deterministic, platform-stable pseudo-random bases derived from n.
-
-    Only is_probable_prime above psi_13 asks for these, so hashlib (and
-    with it OpenSSL) is imported here, not when the module loads."""
-    import hashlib
-
-    span = n - 3
-    for i in range(count):
-        h = hashlib.sha256(f"pellcheck-mr:{n}:{i}".encode()).digest()
-        yield 2 + int.from_bytes(h, "big") % span
-
-
 def is_probable_prime(n: int) -> bool:
     """Primality test; never reports a prime as composite.
 
     Deterministic for n below psi_13 ~ 3.3e24, with the first k bases of
     _MR_BASES for n < psi_k; beyond that, 64 Miller-Rabin rounds with
-    bases derived from a hash of n, so the answer is reproducible and the
-    error probability is below 4**-64.
+    bases drawn from a random.Random seeded with n, so the answer is
+    reproducible and the error probability is below 4**-64.  That
+    generator hashes its seed with its own SHA-512, so no hashlib (and no
+    OpenSSL) is loaded here; only rho's starts load it.
     """
     if n < 2:
         return False
@@ -245,7 +234,8 @@ def is_probable_prime(n: int) -> bool:
     if k < len(_MR_PSI):
         bases = _MR_BASES[:k + 1]
     else:
-        bases = _hashed_bases(n, _MR_RANDOM_ROUNDS)
+        rng = random.Random(f"pellcheck-mr:{n}")
+        bases = (rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return all(_miller_rabin_round(n, a, d, s) for a in bases)
 
 
@@ -355,8 +345,8 @@ def _perfect_power_split(n: int) -> Optional[int]:
 def _rho_rng(seed: int, n: int, attempt: int) -> random.Random:
     """The random source of one rho attempt, hashed from (seed, n, attempt).
 
-    hashlib is imported here, as in _hashed_bases, so a process that never
-    runs rho or tests a number above psi_13 never loads OpenSSL."""
+    hashlib is imported here, its only use in the package, so a process
+    that never runs rho never loads OpenSSL."""
     import hashlib
 
     h = hashlib.sha256(f"pellcheck-rho:{seed}:{n}:{attempt}".encode()).digest()

@@ -1,14 +1,15 @@
 """Certified enclosures for the few transcendental comparisons we need.
 
-Endpoints are exact rationals, so interval products introduce no rounding
-at all.  Width enters only through the logarithm and exponential
-enclosures.  The logarithm sums the atanh series in integer fixed point,
-rounding the lower sum down and the upper sum up, and adds a proven tail
-bound; the exponential sums its series in exact rationals and widens by a
-proven tail bound.  Endpoints are finally rounded outward to dyadic
-rationals to keep denominators from snowballing.  A comparison is
-`certified` when the two enclosures separate; callers escalate precision
-until they do.
+An Interval does only what the bound chain asks of it: it scales by a
+rational, squares, and compares with a rational.  Its endpoints are exact
+rationals, so none of these rounds.  Width enters only through the
+logarithm and exponential enclosures.  The logarithm sums the atanh
+series in integer fixed point, rounding the lower sum down and the upper
+sum up, and adds a proven tail bound; the exponential sums its series in
+exact rationals and widens by a proven tail bound.  Endpoints are
+finally rounded outward to dyadic rationals to keep denominators from
+snowballing.  A comparison is `certified` when the enclosure and the
+rational separate; certify escalates precision until they do.
 
 This deliberately avoids machine floats: a boolean produced here can never
 be an artifact of rounding.  Every enclosure contains the true value, so a
@@ -40,22 +41,10 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def exact(x: Rational) -> "Interval":
-        f = Fraction(x)
-        return Interval(f, f)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __mul__(self, other: "Interval | Rational") -> "Interval":
-        o = _coerce(other)
-        products = (self.lo * o.lo, self.lo * o.hi,
-                    self.hi * o.lo, self.hi * o.hi)
-        return Interval(min(products), max(products))
-
-    __rmul__ = __mul__
+    def __mul__(self, k: Rational) -> "Interval":
+        if k < 0:
+            return Interval(self.hi * k, self.lo * k)
+        return Interval(self.lo * k, self.hi * k)
 
     def squared(self) -> "Interval":
         if self.lo >= 0:
@@ -64,26 +53,20 @@ class Interval:
             return Interval(self.hi * self.hi, self.lo * self.lo)
         return Interval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
 
-    def gt(self, other: "Interval | Rational") -> Optional[bool]:
+    def gt(self, x: Rational) -> Optional[bool]:
         """Certified strict 'greater than'; None when undecided."""
-        o = _coerce(other)
-        if self.lo > o.hi:
+        if self.lo > x:
             return True
-        if self.hi <= o.lo:
+        if self.hi <= x:
             return False
         return None
 
-    def lt(self, other: "Interval | Rational") -> Optional[bool]:
-        o = _coerce(other)
-        if self.hi < o.lo:
+    def lt(self, x: Rational) -> Optional[bool]:
+        if self.hi < x:
             return True
-        if self.lo >= o.hi:
+        if self.lo >= x:
             return False
         return None
-
-
-def _coerce(x: "Interval | Rational") -> Interval:
-    return x if isinstance(x, Interval) else Interval.exact(x)
 
 
 def _round_out(lo: Fraction, hi: Fraction, bits: int) -> Interval:
@@ -177,22 +160,26 @@ def exp_interval(x: Rational, bits: int) -> Interval:
     return _round_out(s, s + tail, bits + 4)
 
 
-def certify(decide: Callable[[int], Optional[bool]], *,
-            start_bits: int = 24, max_bits: int = 4096) -> bool:
+_CERTIFY_START_BITS = 24
+_CERTIFY_MAX_BITS = 4096
+
+
+def certify(decide: Callable[[int], Optional[bool]]) -> bool:
     """Escalate precision until `decide` returns a boolean.
 
     `decide(bits)` evaluates a comparison with enclosures of roughly
     2**-bits width and returns None while undecided.  Escalation doubles
-    the precision.  Enclosures at different precisions need not nest, but
-    each contains the true value, so a decided comparison is a true
+    the precision from _CERTIFY_START_BITS and gives up past
+    _CERTIFY_MAX_BITS.  Enclosures at different precisions need not nest,
+    but each contains the true value, so a decided comparison is a true
     statement and every precision that decides it gives the same answer.
     """
-    bits = start_bits
-    while bits <= max_bits:
+    bits = _CERTIFY_START_BITS
+    while bits <= _CERTIFY_MAX_BITS:
         verdict = decide(bits)
         if verdict is not None:
             return verdict
         bits *= 2
     raise CertificationError(
-        f"comparison undecided at {max_bits} bits of precision"
+        f"comparison undecided at {_CERTIFY_MAX_BITS} bits of precision"
     )

@@ -190,8 +190,6 @@ def bound_chain(n: int, k: int) -> BoundReport:
     """
     if n < 16:
         raise ValueError("bound chain needs n >= 16")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     rhs = pomerance_rhs(k)
     ineq_a = certify(_ineq_a_decide(n, k))
     ineq_b = certify(_ineq_b_decide(n, k))
@@ -219,7 +217,11 @@ def bound_chain(n: int, k: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 # factor evidence cache
 
-_CACHE_FACTOR_RE = re.compile(r"^(\d+)\^(\d+)$")
+#: A canonical decimal numeral, as FactorCache writes one: ASCII digits
+#: only, with no sign, underscore or leading zero.
+_CACHE_INT = r"0|[1-9]\d*"
+_CACHE_INT_RE = re.compile(_CACHE_INT, re.ASCII)
+_CACHE_FACTOR_RE = re.compile(rf"({_CACHE_INT})\^({_CACHE_INT})", re.ASCII)
 
 
 def _better(a: Factorization, b: Factorization) -> Factorization:
@@ -241,11 +243,12 @@ class FactorCache:
 
         <n> <prime>^<exp> ... cofactor=<c> complete=<0|1>
 
-    Loading re-validates each record against P_n (sizes and the product
-    mod a 61-bit prime first, then the exact product identity and the
-    primality of every listed prime); records that fail, including lines
-    that are not UTF-8, are reported in `rejected` and discarded, never
-    used.  Writing replaces the file atomically.
+    Loading re-validates each record against P_n (canonical ASCII
+    numerals, their lengths before conversion, then sizes and the product
+    mod a 61-bit prime, then the exact product identity and the primality
+    of every listed prime); records that fail, including lines that are
+    not UTF-8, are reported in `rejected`, quoting long numbers shortened,
+    and discarded, never used.  Writing replaces the file atomically.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -279,34 +282,52 @@ class FactorCache:
         tokens = line.split()
         if len(tokens) < 3:
             raise ValueError("too few fields")
-        if not tokens[0].isdigit():
+        index, *factor_tokens, cofactor_token, complete_token = tokens
+        if not _CACHE_INT_RE.fullmatch(index):
             raise ValueError("index is not a decimal integer")
-        n = int(tokens[0])
-        if not tokens[-1].startswith("complete=") or not tokens[-2].startswith("cofactor="):
+        # A valid record carries at least n - 1 bits, and each of its other
+        # tokens accounts for fewer than 10**len(token) of them, so its
+        # index takes less than half of the line.
+        if 2 * len(index) > len(line):
+            raise ValueError(f"index {_short(index)} is too long for its line")
+        n = int(index)
+        pn = f"P_{_short(index)}"
+        if (not complete_token.startswith("complete=")
+                or not cofactor_token.startswith("cofactor=")):
             raise ValueError("missing cofactor=/complete= trailer")
-        cofactor = int(tokens[-2][len("cofactor="):])
-        complete_flag = tokens[-1][len("complete="):]
+        # Sizes are checked before any value is converted or P_n computed,
+        # against 2**(n-1) <= P_n < (1 + sqrt 2)**n < 2**(1.2716 n)
+        # (P_1 = 1 and P_{k+1} >= 2 P_k).  So no value in a valid record
+        # has more than max_digits digits, as 10**0.3828 > 1 + sqrt 2, and
+        # no exponent reaches 2n.
+        max_digits = 3828 * n // 10_000 + 1
+        cofactor_text = cofactor_token[len("cofactor="):]
+        if not _CACHE_INT_RE.fullmatch(cofactor_text):
+            raise ValueError("cofactor is not a decimal integer")
+        if len(cofactor_text) > max_digits:
+            raise ValueError(f"cofactor {_short(cofactor_text)} exceeds {pn}")
+        cofactor = int(cofactor_text)
+        complete_flag = complete_token[len("complete="):]
         if complete_flag not in ("0", "1"):
             raise ValueError("complete flag must be 0 or 1")
-        # Sizes are checked before P_n is computed, against
-        # 2**(n-1) <= P_n < (1 + sqrt 2)**n < 2**(1.2716 n)
-        # (P_1 = 1 and P_{k+1} >= 2 P_k).
         factors = []
-        for tok in tokens[1:-2]:
-            m = _CACHE_FACTOR_RE.match(tok)
+        for tok in factor_tokens:
+            m = _CACHE_FACTOR_RE.fullmatch(tok)
             if not m:
-                raise ValueError(f"bad factor token {tok!r}")
-            p, e = int(m.group(1)), int(m.group(2))
+                raise ValueError(f"bad factor token {_short(tok)!r}")
+            if len(m[1]) > max_digits or len(m[2]) > len(index) + 1:
+                raise ValueError(f"{_short(tok)} exceeds {pn}")
+            p, e = int(m[1]), int(m[2])
             # p**e >= 2**((bits(p)-1)*e): no power is built that is too
             # large to divide P_n
             if 10_000 * (p.bit_length() - 1) * e >= 12_716 * n:
-                raise ValueError(f"{p}^{e} exceeds P_{n}")
+                raise ValueError(f"{_short(tok)} exceeds {pn}")
             factors.append((p, e))
         bits = cofactor.bit_length() + sum(p.bit_length() * e
                                            for p, e in factors)
         if bits < n:
-            raise ValueError(f"product below 2^{bits} is less than "
-                             f"P_{n} >= 2^{n - 1}")
+            raise ValueError(f"product below 2^{_short(bits)} is less than "
+                             f"{pn} >= 2^{_short(n - 1)}")
         # a product that differs from P_n mod a 61-bit prime is refused
         # before P_n itself is built
         mod = _CACHE_CHECK_MODULUS
@@ -314,7 +335,7 @@ class FactorCache:
         for p, e in factors:
             residue = residue * pow(p, e, mod) % mod
         if residue != pell_residue(n, mod):
-            raise ValueError(f"product differs from P_{n} mod 2^61 - 1")
+            raise ValueError(f"product differs from {pn} mod 2^61 - 1")
         target = pell_pair(n).p
         f = Factorization(target=target, factors=tuple(factors),
                           cofactor=cofactor)
@@ -322,7 +343,7 @@ class FactorCache:
             raise ValueError("complete flag inconsistent with cofactor")
         for p, _ in f.factors:
             if not is_probable_prime(p):
-                raise ValueError(f"listed factor {p} is not prime")
+                raise ValueError(f"listed factor {_short(p)} is not prime")
         return n, f
 
     def read_file(self, path: str) -> None:
@@ -343,9 +364,8 @@ class FactorCache:
             self.entries[n] = f if current is None else _better(f, current)
             self.loaded += 1
 
-    def write_file(self, path: Optional[str] = None) -> None:
-        path = path or self.path
-        if path is None:
+    def write_file(self) -> None:
+        if self.path is None:
             raise ValueError("no cache path configured")
         lines = []
         with big_int_strings():
@@ -359,13 +379,14 @@ class FactorCache:
         # a temp file in the same directory, renamed over the old file, so
         # that a failed or interrupted write leaves the old file intact
         fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(path)), prefix=".pellcheck-")
+            dir=os.path.dirname(os.path.abspath(self.path)),
+            prefix=".pellcheck-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + ("\n" if lines else ""))
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            os.replace(tmp, self.path)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -594,7 +615,7 @@ class VerificationReport:
         for r in self.indices:
             evidence = ""
             if r.verdict.evidence is not None:
-                evidence = _short_int(r.verdict.evidence)
+                evidence = _short(r.verdict.evidence)
             rows.append({
                 "n": str(r.n),
                 "digits": str(r.pell_digits),
@@ -678,7 +699,8 @@ def big_int_strings():
         sys.set_int_max_str_digits(limit)
 
 
-def _short_int(v: int) -> str:
+def _short(v: int | str) -> str:
+    """The text of v, or its head, tail and length once it is long."""
     s = str(v)
     if len(s) <= 24:
         return s

@@ -815,7 +815,7 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         assert result.stdout.splitlines()[-1] == "0 []", n_max
 
 
-def test_openssl_loads_only_for_hashed_bases():
+def test_openssl_loads_only_once_factor_reaches_rho():
     bare = subprocess.run(
         [sys.executable, "-c", "import sys; print('_hashlib' in sys.modules)"],
         capture_output=True, text=True)
@@ -823,18 +823,22 @@ def test_openssl_loads_only_for_hashed_bases():
     if bare.stdout != "False\n":
         pytest.skip("the bare interpreter loads _hashlib at startup")
     src = os.path.dirname(os.path.dirname(os.path.abspath(pellcheck.__file__)))
-    # none of these tests a number above psi_13 or runs rho in this process;
-    # P_101 is above psi_13, so its test needs hashed bases
+    # none of these runs rho in this process, though P_101 is above psi_13
+    # and so takes the 64 seeded Miller-Rabin rounds; the last factor()
+    # has neither trial primes nor p-1 that could split its semiprime
     script = (
         "import sys\n"
-        "from pellcheck import (bound_chain, is_probable_prime, lehmer_check,\n"
-        "                       pell_pair, run_identity_suite, verify_range)\n"
+        "from pellcheck import (FactorPolicy, bound_chain, factor,\n"
+        "                       is_probable_prime, lehmer_check, pell_pair,\n"
+        "                       run_identity_suite, verify_range)\n"
         "lehmer_check(999_999_999_995)\n"
         "bound_chain(2500, 16)\n"
         "run_identity_suite(100)\n"
         "verify_range(40)\n"
-        "print('_hashlib' in sys.modules)\n"
         "assert is_probable_prime(pell_pair(101).p)\n"
+        "print('_hashlib' in sys.modules)\n"
+        "policy = FactorPolicy(trial_bound=100, pm1_b1=0, pm1_b2=0)\n"
+        "assert factor(1_000_003 * 1_000_033, policy).complete\n"
         "print('_hashlib' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", script],

@@ -2,6 +2,7 @@ import errno
 import json
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -366,15 +367,47 @@ def test_bound_chain_booleans_stable_under_refinement():
     for n, k in ((300, 15), (3000, 15), (300, 1), (10**6, 15)):
         for decide in (_ineq_a_decide(n, k), _ineq_b_decide(n, k)):
             verdict = certify(decide)
-            assert certify(decide, start_bits=768) == verdict
-            assert certify(decide, start_bits=3072) == verdict
+            assert decide(768) == verdict
+            assert decide(3072) == verdict
     # the final inequality around its threshold, and the two comparisons
     # of e8_threshold_check
     for decide in (
             *(verifier._final_inequality_decide(a, a) for a in range(16, 26)),
             lambda bits: e8_enclosure(bits).gt(2980),
             lambda bits: e8_enclosure(bits).lt(2981)):
-        assert certify(decide, start_bits=768) == certify(decide)
+        assert decide(768) == certify(decide)
+
+
+#: bound_chain's indices for the mpmath oracle: both sides of the final
+#: threshold and of e**8, the window's top, and 20 seeded others
+ORACLE_NS = sorted({16, 17, 20, 21, 300, 2980, 2981, 2999,
+                    *random.Random(2023).sample(range(16, 3000), 20)})
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_bound_chain_booleans_match_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 60
+    margin = ctx.mpf(10) ** -40
+    for k in range(1, 17):
+        r = bound_chain(n, k)
+        # 2**k ln k > n/3, and 2**(k+2) ln ln n > n; a difference within
+        # the margin would leave the oracle itself in doubt
+        a = ctx.mpf(2) ** k * ctx.log(k) - ctx.mpf(n) / 3
+        b = ctx.mpf(2) ** (k + 2) * ctx.log(ctx.log(n)) - n
+        assert abs(a) > margin and abs(b) > margin, (n, k)
+        assert (r.ineq_a_holds, r.ineq_b_holds) == (a > 0, b > 0), (n, k)
+
+
+def test_final_inequality_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 60
+    for n in range(16, 41):
+        d = 16 * (n + 1) * ctx.log(ctx.log(n)) ** 2 - n * n
+        assert abs(d) > ctx.mpf(10) ** -40, n
+        assert final_inequality_holds(n) == (d > 0), n
 
 
 def test_final_threshold():
@@ -438,9 +471,9 @@ def test_final_threshold_refuses_a_planted_gap(monkeypatch):
 def test_final_threshold_makes_few_certified_comparisons(monkeypatch):
     calls = []
 
-    def counting_certify(decide, **kwargs):
+    def counting_certify(decide):
         calls.append(decide)
-        return certify(decide, **kwargs)
+        return certify(decide)
 
     monkeypatch.setattr(verifier, "certify", counting_certify)
     assert final_threshold() == 21
@@ -560,6 +593,59 @@ def test_cache_rejects_plausible_size_product_mismatch_quickly(tmp_path):
     assert time.perf_counter() - t0 < 0.1
     assert cache.rejected == [
         "line 1: product differs from P_20000000 mod 2^61 - 1"]
+
+
+@pytest.mark.parametrize("line, reason", [
+    # P_5 = 29 has 2 digits, so a 600,000-digit factor or cofactor cannot
+    # be part of it and is refused before int() spends seconds on it
+    ("5 " + "7" * 600_000 + "^1 cofactor=1 complete=1",
+     "7777777777...7777^1(600002d) exceeds P_5"),
+    ("5 cofactor=" + "7" * 600_000 + " complete=1",
+     "cofactor 7777777777...777777(600000d) exceeds P_5"),
+    # an index of 600,000 digits needs as many digits elsewhere to carry
+    # the bits of P_n
+    ("7" * 600_000 + " 2^1 cofactor=1 complete=1",
+     "index 7777777777...777777(600000d) is too long for its line"),
+    # the exponent of a factor of P_9 is below 2 * 9
+    ("9 5^" + "7" * 600_000 + " cofactor=1 complete=1",
+     "5^77777777...777777(600002d) exceeds P_9"),
+], ids=["factor", "cofactor", "index", "exponent"])
+def test_cache_rejects_long_numerals_quickly(tmp_path, line, reason):
+    path = tmp_path / "cache.txt"
+    path.write_text(line + "\n")
+    t0 = time.perf_counter()
+    cache = FactorCache(str(path))
+    assert time.perf_counter() - t0 < 0.1
+    assert cache.rejected == [f"line 1: {reason}"]
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("9 5^1 cofactor=19_7 complete=0", "cofactor is not a decimal integer"),
+    ("9 5^1 197^1 cofactor=+1 complete=1",
+     "cofactor is not a decimal integer"),
+    ("9 5^1 cofactor=\u0661\u0669\u0667 complete=0",
+     "cofactor is not a decimal integer"),
+    ("9 \u0665^1 197^1 cofactor=1 complete=1",
+     "bad factor token '\u0665^1'"),
+    ("9 5^\u0661 197^1 cofactor=1 complete=1",
+     "bad factor token '5^\u0661'"),
+    ("\u0669 5^1 197^1 cofactor=1 complete=1",
+     "index is not a decimal integer"),
+    ("09 5^1 197^1 cofactor=1 complete=1", "index is not a decimal integer"),
+    ("9 05^1 197^1 cofactor=1 complete=1", "bad factor token '05^1'"),
+    ("9 5^1 197^1 cofactor=01 complete=1",
+     "cofactor is not a decimal integer"),
+], ids=["underscore", "sign", "arabic-indic-cofactor", "arabic-indic-prime",
+        "arabic-indic-exponent", "arabic-indic-index", "zero-index",
+        "zero-prime", "zero-cofactor"])
+def test_cache_accepts_only_canonical_ascii_numerals(tmp_path, line, reason):
+    # each line has the value of a valid record for P_9 = 5 * 197, written
+    # in a form that int() reads but FactorCache never writes
+    path = tmp_path / "cache.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    cache = FactorCache(str(path))
+    assert cache.loaded == 0
+    assert cache.rejected == [f"line 1: {reason}"]
 
 
 def test_cache_genuine_lines_pass_the_residue_check(tmp_path):

@@ -42,6 +42,11 @@ pool.ordered_map, the fork-worker map the sweep in verifier also uses,
 and reads their outcomes in segment order, so its result and its work
 units are those of a serial walk.  There is no setting for the worker
 count.  Elliptic curves and sieve methods are deliberately out of scope.
+
+FactorPolicy and Factorization are NamedTuples that check their fields in
+__new__, which unpickling runs too.  The seed strings above spell n in
+decimal inside big_int_strings, which lifts the int/str digit limit for
+them and for every report that prints P_n.
 """
 
 from __future__ import annotations
@@ -50,11 +55,11 @@ import bisect
 import functools
 import math
 import random
+import sys
 from array import array
-from contextlib import closing
-from dataclasses import dataclass
+from contextlib import closing, contextmanager
 from itertools import compress, islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import pool
 
@@ -119,8 +124,16 @@ MAX_SIEVE_BOUND = 10**8
 MAX_PM1_B2 = 10**13
 
 
-@dataclass(frozen=True)
-class FactorPolicy:
+class _FactorPolicyFields(NamedTuple):
+    trial_bound: int = 1_000_000
+    rho_budget_ms: int = 4_000
+    max_total_ms: int = 120_000
+    pm1_b1: int = 1_000_000
+    pm1_b2: int = 2_000_000_000
+    seed: int = 1
+
+
+class FactorPolicy(_FactorPolicyFields):
     """Budgets and knobs for the factorization pipeline.
 
     trial_bound   largest prime used for trial division
@@ -130,16 +143,15 @@ class FactorPolicy:
     pm1_b2        Pollard p-1 stage-2 bound: one multiplication per prime
                   in (pm1_b1, pm1_b2] (0 disables stage 2)
     seed          root of all pseudo-random parameter choices
+
+    The fields are checked in __new__, which unpickling runs too; _make
+    and _replace skip the checks, so the package never calls them.
     """
 
-    trial_bound: int = 1_000_000
-    rho_budget_ms: int = 4_000
-    max_total_ms: int = 120_000
-    pm1_b1: int = 1_000_000
-    pm1_b2: int = 2_000_000_000
-    seed: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.trial_bound < 2:
             raise ValueError("trial_bound must be >= 2")
         if self.rho_budget_ms <= 0 or self.max_total_ms <= 0:
@@ -151,22 +163,27 @@ class FactorPolicy:
                              f"{MAX_SIEVE_BOUND}")
         if self.pm1_b2 > MAX_PM1_B2:
             raise ValueError(f"pm1_b2 must be <= {MAX_PM1_B2}")
+        return self
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A (possibly partial) factorization: target = prod(p**e) * cofactor.
-
-    Primes are strictly increasing, exponents >= 1, and cofactor is 1
-    exactly when the factorization is complete.  The product identity is
-    re-checked on construction.
-    """
-
+class _FactorizationFields(NamedTuple):
     target: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int = 1
 
-    def __post_init__(self):
+
+class Factorization(_FactorizationFields):
+    """A (possibly partial) factorization: target = prod(p**e) * cofactor.
+
+    Primes are strictly increasing, exponents >= 1, and cofactor is 1
+    exactly when the factorization is complete.  The product identity is
+    re-checked on construction, in __new__, as for FactorPolicy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.target < 1:
             raise ValueError("target must be >= 1")
         if self.cofactor < 1:
@@ -185,10 +202,31 @@ class Factorization:
                 "factorization does not multiply back to the "
                 f"{self.target.bit_length()}-bit target"
             )
+        return self
 
     @property
     def complete(self) -> bool:
         return self.cofactor == 1
+
+
+@contextmanager
+def big_int_strings():
+    """Lift the int/str conversion limit inside the block, then restore it.
+
+    Reports and printed values legitimately carry integers with thousands
+    of digits (P_n itself, the exact K**(2**K) bound), and so do the seed
+    strings of the Miller-Rabin bases and of rho's starts.  The caller's
+    limit is restored on exit, whatever it was.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +272,9 @@ def is_probable_prime(n: int) -> bool:
     if k < len(_MR_PSI):
         bases = _MR_BASES[:k + 1]
     else:
-        rng = random.Random(f"pellcheck-mr:{n}")
+        with big_int_strings():
+            seed = f"pellcheck-mr:{n}"
+        rng = random.Random(seed)
         bases = (rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return all(_miller_rabin_round(n, a, d, s) for a in bases)
 
@@ -349,7 +389,9 @@ def _rho_rng(seed: int, n: int, attempt: int) -> random.Random:
     that never runs rho never loads OpenSSL."""
     import hashlib
 
-    h = hashlib.sha256(f"pellcheck-rho:{seed}:{n}:{attempt}".encode()).digest()
+    with big_int_strings():
+        text = f"pellcheck-rho:{seed}:{n}:{attempt}"
+    h = hashlib.sha256(text.encode()).digest()
     return random.Random(int.from_bytes(h, "big"))
 
 

@@ -12,15 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional
 
-from .arith import FactorPolicy, factor
+from .arith import FactorPolicy, big_int_strings, factor
 from .lehmer import LehmerStatus, lehmer_check
 from .sequences import digits10, pell_pair
 from .verifier import (
     FactorCache,
-    big_int_strings,
     bound_chain,
     canonical_json,
     run_identity_suite,
@@ -146,7 +144,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     target = _target(args)
     f = factor(target, _policy_from(args))
     if args.format == "structured":
-        sys.stdout.write(canonical_json({**asdict(f), "complete": f.complete}))
+        payload = {**f._asdict(), "complete": f.complete}
+        sys.stdout.write(canonical_json(payload))
         return 0
     with big_int_strings():
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors]
@@ -183,7 +182,7 @@ def _cmd_lehmer(args: argparse.Namespace) -> int:
 def _cmd_identities(args: argparse.Namespace) -> int:
     result = run_identity_suite(args.n_max)
     if args.format == "structured":
-        payload = {**asdict(result), "all_ok": result.all_ok}
+        payload = {**result._asdict(), "all_ok": result.all_ok}
         sys.stdout.write(canonical_json(payload))
     else:
         print(f"companion relation up to {result.n_max}: "
@@ -242,7 +241,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     report = bound_chain(args.n, args.k)
     if args.format == "structured":
-        payload = {**asdict(report),
+        payload = {**report._asdict(),
                    "pomerance_rhs_digits": digits10(report.pomerance_rhs)}
         sys.stdout.write(canonical_json(payload))
         return 0

@@ -1,15 +1,17 @@
 """Certified enclosures for the few transcendental comparisons we need.
 
 An Interval does only what the bound chain asks of it: it scales by a
-rational, squares, and compares with a rational.  Its endpoints are exact
-rationals, so none of these rounds.  Width enters only through the
-logarithm and exponential enclosures.  The logarithm sums the atanh
-series in integer fixed point, rounding the lower sum down and the upper
-sum up, and adds a proven tail bound; the exponential sums its series in
-exact rationals and widens by a proven tail bound.  Endpoints are
-finally rounded outward to dyadic rationals to keep denominators from
-snowballing.  A comparison is `certified` when the enclosure and the
-rational separate; certify escalates precision until they do.
+rational, squares, and compares with a rational.  It is a plain class
+with two slots, not a tuple, so an int times an Interval stays a
+TypeError.  Its endpoints are exact rationals, so none of these rounds.
+Width enters only through the logarithm and exponential enclosures.  The
+logarithm sums the atanh series in integer fixed point, rounding the
+lower sum down and the upper sum up, and adds a proven tail bound; the
+exponential sums its series in exact rationals and widens by a proven
+tail bound.  Endpoints are finally rounded outward to dyadic rationals to
+keep denominators from snowballing.  A comparison is `certified` when the
+enclosure and the rational separate; certify escalates precision until
+they do.
 
 This deliberately avoids machine floats: a boolean produced here can never
 be an artifact of rounding.  Every enclosure contains the true value, so a
@@ -19,7 +21,6 @@ other way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -30,16 +31,27 @@ class CertificationError(Exception):
     """Raised when a comparison stays undecided at the precision ceiling."""
 
 
-@dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     def __mul__(self, k: Rational) -> "Interval":
         if k < 0:

@@ -13,14 +13,14 @@ rarely needed:
       decided exactly.
 
 Budget exhaustion before any decision yields the honest outcome
-`undecided`; it is never silently treated as verified.
+`undecided`; it is never silently treated as verified.  Each decision is
+a LehmerVerdict, a NamedTuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import (
     FactorPolicy,
@@ -50,8 +50,7 @@ class LehmerReason(str, Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True)
-class LehmerVerdict:
+class LehmerVerdict(NamedTuple):
     """Decision for one candidate, with a machine-checkable reason.
 
     `evidence` carries the prime behind a not_squarefree / factor_witness

@@ -14,18 +14,17 @@ pell_lucas_sequence are slices of it), and a binary doubling ladder using
 
 which are exact integer consequences of the closed forms over the roots
 1 +/- sqrt(2).  No floating point is used anywhere; the two paths serve as
-mutual oracles in the test suite.
+mutual oracles in the test suite.  pell_pair returns a PellPair, a
+NamedTuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class PellPair:
+class PellPair(NamedTuple):
     """A Pell / Pell-Lucas value pair (P_n, Q_n) at a shared index.
 
     Invariants (checked by the test suite, not the constructor):

@@ -7,7 +7,9 @@ are decided on forked workers through pool.ordered_map), while
 `bound_chain`, `final_threshold` and `e8_threshold_check` evaluate the
 asymptotic inequalities with certified interval arithmetic.  Reports are
 deterministic: identical inputs, budgets and seed give byte-identical
-structured output.
+structured output.  BoundReport, BoundsSummary, IndexReport,
+VerificationReport and IdentitySuiteResult are NamedTuples; an
+IndexReport compares and hashes its first eight fields only.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ import functools
 import json
 import os
 import re
-import sys
 import tempfile
 import time
-from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass, field
+from contextlib import closing
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import pool
 from .arith import (
@@ -31,6 +31,7 @@ from .arith import (
     FactorPolicy,
     Factorization,
     WorkMeter,
+    big_int_strings,
     is_probable_prime,
     nu2,
 )
@@ -160,8 +161,7 @@ def e8_threshold_check() -> bool:
     return above and below
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Certified evaluation of the proof's inequality chain at one (n, k).
 
     two_power_targets is the pair ((n-1)/2, (n+1)/2) for odd n (None for
@@ -222,6 +222,10 @@ def bound_chain(n: int, k: int) -> BoundReport:
 _CACHE_INT = r"0|[1-9]\d*"
 _CACHE_INT_RE = re.compile(_CACHE_INT, re.ASCII)
 _CACHE_FACTOR_RE = re.compile(rf"({_CACHE_INT})\^({_CACHE_INT})", re.ASCII)
+#: The most digits a cache index may have: P_n for n >= 10**12 has more
+#: than 3.8e11 digits, so no record of such an index could ever be checked
+#: against P_n.
+_CACHE_INDEX_DIGITS = 12
 
 
 def _better(a: Factorization, b: Factorization) -> Factorization:
@@ -290,6 +294,9 @@ class FactorCache:
         # index takes less than half of the line.
         if 2 * len(index) > len(line):
             raise ValueError(f"index {_short(index)} is too long for its line")
+        if len(index) > _CACHE_INDEX_DIGITS:
+            raise ValueError(f"index {_short(index)} exceeds the "
+                             f"{_CACHE_INDEX_DIGITS}-digit index cap")
         n = int(index)
         pn = f"P_{_short(index)}"
         if (not complete_token.startswith("complete=")
@@ -428,9 +435,12 @@ class VerifyContext:
         return verdict, dict(meter.by_stage)
 
 
-@dataclass(frozen=True)
-class IndexReport:
-    """Everything `verify_index` learned about one index."""
+class IndexReport(NamedTuple):
+    """Everything `verify_index` learned about one index.
+
+    Equality and the hash cover the first eight fields only: elapsed_ms
+    and decide_stage_units never decide whether two reports agree.
+    """
 
     n: int
     pell_digits: int
@@ -440,10 +450,22 @@ class IndexReport:
     split_product_ok: Optional[bool]
     factors_found: tuple[tuple[int, int, int], ...]  # (prime, exp, mod 4)
     work_units: int
-    elapsed_ms: float = field(compare=False, default=0.0)
-    # work_units split by stage; kept out of the canonical report
-    decide_stage_units: dict[str, int] = field(compare=False,
-                                               default_factory=dict)
+    elapsed_ms: float = 0.0
+    # work_units split by stage, which verify_index always sets; kept out
+    # of the canonical report
+    decide_stage_units: Optional[dict[str, int]] = None
+
+    def __eq__(self, other):
+        if not isinstance(other, IndexReport):
+            return NotImplemented
+        return self[:8] == other[:8]
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:8])
 
     @property
     def identities_ok(self) -> bool:
@@ -501,8 +523,7 @@ def verify_index(n: int, policy: FactorPolicy = FactorPolicy(), *,
 # whole-run reports
 
 
-@dataclass(frozen=True)
-class BoundsSummary:
+class BoundsSummary(NamedTuple):
     """Bound-chain facts attached to every verification report."""
 
     e8_below_3000: bool
@@ -528,8 +549,7 @@ def bounds_summary() -> BoundsSummary:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Aggregate outcome of verify_range; to_json gives its canonical
     report."""
 
@@ -584,7 +604,7 @@ class VerificationReport:
         return {
             "schema": REPORT_SCHEMA,
             "n_max": self.n_max,
-            "policy": asdict(self.policy),
+            "policy": self.policy._asdict(),
             "summary": {
                 "status_counts": self.status_counts,
                 "reason_counts": self.reason_counts,
@@ -593,7 +613,7 @@ class VerificationReport:
                 "reproduced": self.reproduced,
                 "total_work_units": self.total_work_units,
             },
-            "bounds": {**asdict(self.bounds),
+            "bounds": {**self.bounds._asdict(),
                        "e8_lo": str(self.bounds.e8_lo),
                        "e8_hi": str(self.bounds.e8_hi)},
             "cache": {
@@ -680,25 +700,6 @@ def canonical_json(data: dict) -> str:
         return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@contextmanager
-def big_int_strings():
-    """Lift the int/str conversion limit inside the block, then restore it.
-
-    Reports and printed values legitimately carry integers with thousands
-    of digits (P_n itself, the exact K**(2**K) bound).  The caller's limit
-    is restored on exit, whatever it was.
-    """
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _short(v: int | str) -> str:
     """The text of v, or its head, tail and length once it is long."""
     s = str(v)
@@ -771,8 +772,7 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
 # identity sweep (shared by the CLI and the acceptance suite)
 
 
-@dataclass(frozen=True)
-class IdentitySuiteResult:
+class IdentitySuiteResult(NamedTuple):
     n_max: int
     nu2_n_max: int
     pq_relation_ok: bool

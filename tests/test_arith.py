@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import multiprocessing
 import os
@@ -27,6 +28,7 @@ from pellcheck.arith import (
     nu2,
     small_primes,
 )
+from pellcheck.sequences import pell_pair
 
 # cheap policy for factoring small targets in bulk
 SMALL_POLICY = FactorPolicy(trial_bound=400, rho_budget_ms=50,
@@ -125,6 +127,35 @@ def test_primality_agrees_with_sympy_near_each_psi_and_below_1e12():
         values.extend(range(psi - 2_000, psi + 2_001))
     for n in values:
         assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_seed_strings_hold_numbers_above_the_str_digit_limit(monkeypatch):
+    # P_11311 has 4,330 digits and no prime factor <= 97, so it takes the
+    # seeded bases; no real round is run (one modexp takes seconds here)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    n = pell_pair(11311).p
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) == 4330
+    sys.set_int_max_str_digits(4300)
+    try:
+        bases = []
+        monkeypatch.setattr(arith, "_miller_rabin_round",
+                            lambda n, a, d, s: bases.append(a) or True)
+        assert is_probable_prime(n)
+        rho = arith._rho_rng(1, n, 0)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rng = random.Random("pellcheck-mr:" + digits)
+    assert bases == [rng.randrange(2, n - 1) for _ in range(64)]
+    h = hashlib.sha256(f"pellcheck-rho:1:{digits}:0".encode()).digest()
+    assert rho.getstate() == random.Random(int.from_bytes(h, "big")).getstate()
 
 
 # ---------------------------------------------------------------------------

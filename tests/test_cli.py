@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -297,7 +296,7 @@ def test_no_policy_flags_give_the_default_policy(command):
 ])
 def test_policy_flag_sets_its_field(flag, field):
     args = build_parser().parse_args(["verify", flag, "7"])
-    assert cli._policy_from(args) == replace(FactorPolicy(), **{field: 7})
+    assert cli._policy_from(args) == FactorPolicy(**{field: 7})
 
 
 @pytest.mark.parametrize("flag, value", [("--trial-bound", 10**10),
@@ -425,3 +424,32 @@ def test_zero_target_names_offending_flag(capsys):
     assert rc == 2 and "--n" in err
     rc, _, err = run_cli(capsys, "lehmer", "--value", "0")
     assert rc == 2 and "--value" in err
+
+
+def test_commands_load_no_dataclasses_or_inspect():
+    # the records are NamedTuples and plain classes, so no process pays
+    # for dataclasses and the inspect, ast, dis and tokenize it loads
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    loaded = f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    bare = subprocess.run([sys.executable, "-c", "import sys; " + loaded],
+                          capture_output=True, text=True)
+    assert bare.returncode == 0, bare.stderr
+    if bare.stdout != "[]\n":
+        pytest.skip(f"the bare interpreter loads {bare.stdout.strip()}")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = (
+        "import sys\n"
+        "import pellcheck.cli\n"
+        "from pellcheck import (bound_chain, lehmer_check,\n"
+        "                       run_identity_suite, verify_range)\n"
+        "bound_chain(2500, 16)\n"
+        "run_identity_suite(100)\n"
+        "verify_range(40)\n"
+        "lehmer_check(999_999_999_995)\n"
+        + loaded + "\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -56,8 +56,8 @@ def test_every_exported_name_has_a_use_in_the_package():
 
 
 def test_every_public_member_of_an_exported_class_has_a_use():
-    # methods and properties by name; dataclass fields are data, not
-    # members, and are not checked
+    # methods and properties by name; the fields of a record are data,
+    # not members, and are not checked
     _, used = _definitions_and_uses()
     unused = {f"{cls.name}.{member.name}"
               for tree in _modules() for cls in tree.body

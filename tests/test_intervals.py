@@ -99,6 +99,9 @@ def test_exact_and_arithmetic():
     assert a.squared().lo == 1 and a.squared().hi == 4
     assert b.squared().lo == 0 and b.squared().hi == 9
     assert (b * -1).squared() == b.squared()
+    # only an Interval on the left scales: it is not a pair to repeat
+    with pytest.raises(TypeError):
+        3 * a
 
 
 def test_comparisons_three_way():

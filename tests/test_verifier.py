@@ -2,13 +2,13 @@ import errno
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -88,13 +88,33 @@ def test_even_indices_short_circuit():
 
 def test_elapsed_excluded_from_equality():
     a = verify_index(9, FAST)
-    b = IndexReport(
+    fields = dict(
         n=a.n, pell_digits=a.pell_digits, verdict=a.verdict,
         pq_relation_ok=a.pq_relation_ok, nu2_lemma_ok=a.nu2_lemma_ok,
         split_product_ok=a.split_product_ok, factors_found=a.factors_found,
-        work_units=a.work_units, elapsed_ms=a.elapsed_ms + 123.0,
+        work_units=a.work_units,
     )
-    assert a == b
+    # neither the time nor the split by stage decides whether two agree
+    for extra in ({"elapsed_ms": a.elapsed_ms + 123.0},
+                  {"decide_stage_units": {"trial": a.work_units + 1}}):
+        b = IndexReport(**fields, **extra)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+    assert a != IndexReport(**{**fields, "work_units": a.work_units + 1})
+
+
+def test_records_survive_pickle():
+    # verdicts and their factorizations cross the sweep's worker pipes
+    policy = FactorPolicy(trial_bound=500, rho_budget_ms=7, seed=3)
+    report = verify_index(43, policy)
+    verdict = report.verdict
+    assert isinstance(verdict.factorization, Factorization)
+    assert verdict.factorization.factors
+    for record in (verdict, verdict.factorization, report, policy):
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+    assert pickle.loads(pickle.dumps(report)).decide_stage_units == (
+        report.decide_stage_units)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +629,16 @@ def test_cache_rejects_plausible_size_product_mismatch_quickly(tmp_path):
     # the exponent of a factor of P_9 is below 2 * 9
     ("9 5^" + "7" * 600_000 + " cofactor=1 complete=1",
      "5^77777777...777777(600002d) exceeds P_9"),
-], ids=["factor", "cofactor", "index", "exponent"])
+    # an index that takes less than half of its line is capped at 12
+    # digits before int() spends time on it
+    ("7" * 300_000 + " 2^" + "7" * 300_001 + " cofactor=1 complete=1",
+     "index 7777777777...777777(300000d) exceeds the 12-digit index cap"),
+    ("1" + "0" * 12 + " 2^1 cofactor=1 complete=1",
+     "index 1000000000000 exceeds the 12-digit index cap"),
+    ("9" * 12 + " 2^1 cofactor=1 complete=1",
+     "product below 2^3 is less than P_999999999999 >= 2^999999999998"),
+], ids=["factor", "cofactor", "index", "exponent", "index-cap",
+        "index-13-digits", "index-12-digits"])
 def test_cache_rejects_long_numerals_quickly(tmp_path, line, reason):
     path = tmp_path / "cache.txt"
     path.write_text(line + "\n")
@@ -754,8 +783,8 @@ def test_verify_range_uses_cache(tmp_path):
     # the same file; only the cache block of its report differs
     cache2 = FactorCache(str(path))
     report2 = verify_range(20, FAST, cache=cache2)
-    assert report2 == replace(report, cache_loaded=report.cache_stored,
-                              cache_stored=0)
+    assert report2 == report._replace(cache_loaded=report.cache_stored,
+                                      cache_stored=0)
     cache2.write_file()
     assert path.read_bytes() == first
 

@@ -16,14 +16,16 @@ the trial bound (each block's product is built once per bound) and scans
 a block prime by prime only when its gcd with what is left of n exceeds
 1, and then only until that gcd is divided out.  It stops at the first
 block whose least prime squared exceeds what is left, and as soon as
-what is left after a recorded prime is (probably) prime, which it
-records.  So it finds the same primes in the same order as dividing by
-each prime in turn, for the same flat charge.  Primality is
-deterministic Miller-Rabin below psi_13 ~ 3.3e24, with the first k prime
-bases for n below psi_k, the least strong pseudoprime to those k bases;
-above psi_13 it takes 64 rounds with bases drawn from a random.Random
-seeded with n.  Neither the block length nor the base tiers have a
-setting.  hashlib, and with it OpenSSL, is imported only for rho's
+what is left after a found prime is (probably) prime, which it finds
+too.  So it finds the same primes in the same order as dividing by each
+prime in turn, for the same flat charge.  In factor(), one generator
+yields each prime that trial division and then the splitting stack
+confirm, and one loop records it until on_prime says stop.
+Primality is deterministic Miller-Rabin below psi_13 ~ 3.3e24, with the
+first k prime bases for n below psi_k, the least strong pseudoprime to
+those k bases; above psi_13 it takes 64 rounds with bases drawn from a
+random.Random seeded with n.  Neither the block length nor the base
+tiers have a setting.  hashlib, and with it OpenSSL, is imported only for rho's
 random starts, so a process that never runs rho never loads it.
 
 The splitting pipeline for a stubborn composite is, in order of cost:
@@ -588,8 +590,7 @@ def _pm1_stage2(n: int, h: int, b1: int, b2: int,
     segments = [(lo, min(lo + _STAGE2_SEGMENT, b2))
                 for lo in range(b1, b2, _STAGE2_SEGMENT)]
     walk = functools.partial(_stage2_segment, n, h, b2)
-    with closing(pool.ordered_map(walk, segments, pool.worker_count(),
-                                  "p-1 stage-2")) as outcomes:
+    with closing(pool.ordered_map(walk, segments, "p-1 stage-2")) as outcomes:
         for primes, outcome in outcomes:
             meter.charge(3 * primes + 1000, "pm1_stage2")
             if outcome != 1:
@@ -632,15 +633,14 @@ def factor(n: int, policy: FactorPolicy = FactorPolicy(), *,
            meter: Optional[WorkMeter] = None) -> Factorization:
     """Factor n under the policy's budgets.
 
-    Trial division by primes up to policy.trial_bound runs first, then the
-    splitting pipeline attacks what remains.  Trial division ends at the
-    first block whose least prime squared exceeds what is left, or as
-    soon as what is left after a recorded prime is a probable prime, which
-    it records; a block whose gcd exceeds 1 is scanned only until that gcd
-    is divided out.  Either way the primes, their order and the flat
-    charge of one unit per 8 primes are those of dividing by each prime
-    in turn.
-    `on_prime` is invoked as each prime factor is confirmed, with the
+    A nested generator yields each prime of what is left of n as it is
+    confirmed, and one loop divides it out and records it.  Trial division
+    by primes up to policy.trial_bound yields first, with the stops and
+    the flat charge of one unit per 8 primes that the module docstring
+    describes.  Then a stack of unsplit parts is popped, yielding primes
+    and splitting composites; when the budget runs out, the primes still
+    on the stack are yielded and the walk ends.
+    `on_prime` is invoked as each prime factor is recorded, with the
     prime and its full exponent in n; returning True stops the
     factorization early, leaving whatever remains in the cofactor.
     A caller-supplied `meter` lets the work spent be read back afterwards.
@@ -652,81 +652,68 @@ def factor(n: int, policy: FactorPolicy = FactorPolicy(), *,
         raise ValueError("can only factor n >= 1")
     if meter is None:
         meter = WorkMeter(policy.max_total_ms * UNITS_PER_MS)
-    found: dict[int, int] = {}
     # `remaining` is always the product of the not-yet-recorded parts of n,
     # so it is exactly the cofactor the moment we stop.
     remaining = n
-    stopped = False
 
-    def record(p: int) -> bool:
-        """Divide p out of `remaining` fully; True means stop early."""
-        nonlocal remaining
-        e = 0
-        while remaining % p == 0:
-            remaining //= p
-            e += 1
-        if e == 0:
-            return False  # already fully accounted via an earlier split
-        found[p] = found.get(p, 0) + e
-        return on_prime is not None and on_prime(p, found[p])
-
-    budget_dead = False
-    if remaining > 1:
+    def confirmed_primes() -> Iterator[int]:
+        """The primes of `remaining`, read afresh at each step."""
+        if remaining == 1:
+            return
         bound = policy.trial_bound
         primes = small_primes(bound)
         try:
             meter.charge(len(primes) // 8 + 1, "trial")
         except BudgetExhausted:
-            budget_dead = True
-        if not budget_dead:
-            starts = range(0, len(primes), _TRIAL_BLOCK)
-            for lo, product in zip(starts, _trial_products(bound)):
-                if primes[lo] * primes[lo] > remaining:
-                    break  # also ends the walk once remaining is 1
-                g = math.gcd(remaining, product)
-                if g == 1:
-                    continue  # no prime of this block divides remaining
-                # g is the product of the block's primes that divide
-                # remaining: scan only until each is divided out
-                for p in primes[lo:lo + _TRIAL_BLOCK]:
-                    if g % p:
-                        continue
-                    g //= p
-                    stopped = record(p)
-                    if (not stopped and remaining > 1
-                            and is_probable_prime(remaining)):
-                        # the prime the walk or the pending loop would
-                        # record next, with nothing recorded before it
-                        stopped = record(remaining)
-                    if stopped or g == 1 or remaining == 1:
-                        break
-                if stopped:
+            if is_probable_prime(remaining):
+                yield remaining
+            return
+        starts = range(0, len(primes), _TRIAL_BLOCK)
+        for lo, product in zip(starts, _trial_products(bound)):
+            if primes[lo] * primes[lo] > remaining:
+                break  # also ends the walk once remaining is 1
+            g = math.gcd(remaining, product)
+            if g == 1:
+                continue  # no prime of this block divides remaining
+            # g is the product of the block's primes that divide
+            # remaining: scan only until each is divided out
+            for p in primes[lo:lo + _TRIAL_BLOCK]:
+                if g % p:
+                    continue
+                g //= p
+                yield p
+                if remaining > 1 and is_probable_prime(remaining):
+                    yield remaining  # the prime the stack would yield next
+                if g == 1 or remaining == 1:
                     break
-            if not stopped and 1 < remaining < (bound + 1) ** 2:
-                # every prime factor left exceeds bound, so a composite
-                # remainder would be >= (bound+1)^2; this one is prime.
-                # (strict: remaining == (bound+1)^2 can be a prime square)
-                stopped = record(remaining)
+        pending = [remaining] if remaining > 1 else []
+        while pending:
+            m = pending.pop()
+            if is_probable_prime(m):
+                yield m
+                continue
+            try:
+                g = _find_divisor(m, policy, meter)
+            except BudgetExhausted:
+                # m stays inside `remaining` as part of the cofactor
+                yield from filter(is_probable_prime, reversed(pending))
+                return
+            if g is not None:  # else methods are exhausted on m
+                pending.extend(sorted((g, m // g), reverse=True))
 
-    pending = [remaining] if not stopped and remaining > 1 else []
-    while pending and not stopped:
-        m = pending.pop()
-        if is_probable_prime(m):
-            stopped = record(m)
-            continue
-        if budget_dead:
-            continue  # m stays inside `remaining` as part of the cofactor
-        try:
-            g = _find_divisor(m, policy, meter)
-        except BudgetExhausted:
-            budget_dead = True
-            continue
-        if g is None:
-            continue  # methods exhausted on this composite
-        pending.extend(sorted((g, m // g), reverse=True))
+    found: dict[int, int] = {}
+    for p in confirmed_primes():
+        e = 0
+        while remaining % p == 0:
+            remaining //= p
+            e += 1
+        if e == 0:
+            continue  # an earlier split already took p
+        found[p] = e
+        if on_prime is not None and on_prime(p, e):
+            break
 
-    factors = tuple(sorted(found.items()))
-    return Factorization(target=n, factors=factors, cofactor=remaining)
+    return Factorization(n, tuple(sorted(found.items())), remaining)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 
 Each idle worker is sent the next item down its own pipe, and results
 are yielded in item order.  An exception raised in a worker is raised
-again at its item's position; a worker that exits raises RuntimeError.
-With one worker or one item, in a daemonic process, off Linux or without
-fork, fn runs in this process instead.  When the map ends, however it
-ends, every worker is killed with SIGKILL and joined; close it
-explicitly, never by garbage collection.  Workers ignore SIGINT.  Each
+again at its item's position; a worker that exits, busy or idle, raises
+RuntimeError.  The map forks worker_count() workers at most.  With one
+worker or one item, in a daemonic process, off Linux or without fork,
+fn runs in this process instead.  When the map ends, however it ends,
+every worker is killed with SIGKILL and joined; close it explicitly,
+never by garbage collection.  Workers ignore SIGINT.  Each
 worker asks the kernel to SIGKILL it when its caller dies
 (PR_SET_PDEATHSIG), so a killed caller leaves no worker running, busy or
 idle, and a worker's own workers die with it in turn.  Linux sends that
@@ -59,12 +60,11 @@ def _serve(conn, fn: Callable, caller: int) -> None:
         conn.send(reply)
 
 
-def ordered_map(fn: Callable, items: Iterable, workers: int,
-                name: str) -> Iterator:
-    """fn(item) for each item, in item order, on up to `workers` forked
-    workers; name says whose workers they are in errors."""
+def ordered_map(fn: Callable, items: Iterable, name: str) -> Iterator:
+    """fn(item) for each item, in item order, on forked workers; name says
+    whose workers they are in errors."""
     items = list(items)
-    workers = min(workers, len(items))
+    workers = min(worker_count(), len(items))
     if workers > 1:
         import multiprocessing
 
@@ -92,20 +92,19 @@ def ordered_map(fn: Callable, items: Iterable, workers: int,
         sent = 0
         for i in range(len(items)):
             while i not in done:
-                for conn in conns:
-                    if sent < len(items) and conn not in running:
-                        conn.send(items[sent])
-                        running[conn] = sent
-                        sent += 1
-                ready = wait([*running, *(p.sentinel for p in procs)])
-                if any(p.sentinel in ready for p in procs):
-                    raise RuntimeError(f"a {name} worker exited")
-                for conn in running.keys() & ready:
-                    try:
+                try:
+                    for conn in conns:
+                        if sent < len(items) and conn not in running:
+                            conn.send(items[sent])
+                            running[conn] = sent
+                            sent += 1
+                    ready = wait([*running, *(p.sentinel for p in procs)])
+                    if any(p.sentinel in ready for p in procs):
+                        raise RuntimeError(f"a {name} worker exited")
+                    for conn in running.keys() & ready:
                         done[running.pop(conn)] = conn.recv()
-                    except EOFError:  # it exited as wait() returned
-                        raise RuntimeError(
-                            f"a {name} worker exited") from None
+                except (EOFError, OSError):  # a pipe to an exited worker
+                    raise RuntimeError(f"a {name} worker exited") from None
             ok, result = done.pop(i)
             if not ok:
                 exc, trace = result

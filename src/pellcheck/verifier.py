@@ -742,8 +742,7 @@ def verify_range(n_max: int, policy: FactorPolicy = FactorPolicy(),
         raise ValueError("n_max must be >= 1")
     decide = VerifyContext(policy).verdict
     odd_verdicts = pool.ordered_map(
-        lambda n: decide(n, pell_pair(n).p), range(3, n_max + 1, 2),
-        pool.worker_count(), "sweep")
+        lambda n: decide(n, pell_pair(n).p), range(3, n_max + 1, 2), "sweep")
     context = VerifyContext(policy, odd_verdicts)
     reports = []
     with closing(odd_verdicts):

@@ -229,6 +229,57 @@ def test_factor_budget_exhaustion_is_partial_not_error():
     assert f.factors == ()
 
 
+def test_budget_dying_mid_split_yields_the_primes_on_the_stack(
+        monkeypatch):
+    # n splits into 10403 = 101 * 103 and the prime 1,000,003; the budget
+    # dies splitting 10403, so the prime still on the stack is recorded
+    # and 10403 is left as the cofactor
+    n = 101 * 103 * 1_000_003
+
+    def find_divisor(m, policy, meter):
+        if m == n:
+            return 10_403
+        assert m == 10_403
+        raise BudgetExhausted
+
+    monkeypatch.setattr(arith, "_find_divisor", find_divisor)
+    seen = []
+    f = factor(n, TINY_POLICY, on_prime=lambda p, e: seen.append((p, e)))
+    assert f.factors == ((1_000_003, 1),)
+    assert f.cofactor == 10_403
+    assert seen == [(1_000_003, 1)]
+
+
+# full factorizations of P_n under the default policy, with the work units
+# of each stage; the sweep stops at the first witness and never reaches
+# these
+FULL_FACTORIZATIONS = {
+    57: (((5, 1), (37, 1), (179057, 1), (1311797, 1), (53535197, 1)),
+         (9813, 16721, 0, 0)),
+    71: (((569, 1), (2644939853, 1), (353183656631413, 1)),
+         (9813, 721092, 108542, 0)),
+    73: (((1873724873, 1), (1653385841290367057, 1)),
+         (9813, 16389, 0, 0)),
+    85: (((29, 1), (137, 1), (3229, 1), (8297, 1), (65789, 1),
+          (5293801, 1), (3276118961, 1)),
+         (9813, 16389, 0, 0)),
+    123: (((5, 1), (429846869, 1), (1746860020068409, 1),
+           (11358537748338103332221, 1)),
+          (9813, 35324, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FULL_FACTORIZATIONS))
+def test_full_factorizations_of_pell_numbers_are_pinned(n):
+    sympy = pytest.importorskip("sympy")
+    factors, units = FULL_FACTORIZATIONS[n]
+    meter = WorkMeter(FactorPolicy().max_total_ms * UNITS_PER_MS)
+    f = factor(pell_pair(n).p, meter=meter)
+    assert f.factors == factors and f.complete
+    assert meter.by_stage == dict(zip(STAGES, units))
+    assert all(sympy.isprime(p) for p, _ in factors)
+
+
 def test_factor_determinism():
     n = (10**9 + 7) * (10**9 + 9) * 5741
     a = factor(n, FactorPolicy(seed=7))

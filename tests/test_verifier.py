@@ -273,11 +273,12 @@ def test_nested_map_workers_end_when_the_caller_is_killed():
         "import time\n"
         "from contextlib import closing\n"
         "from pellcheck import pool\n"
+        "pool.worker_count = lambda: 2\n"
         "def outer(x):\n"
-        "    it = pool.ordered_map(time.sleep, [0.2] * 100, 2, 'inner')\n"
+        "    it = pool.ordered_map(time.sleep, [0.2] * 100, 'inner')\n"
         "    with closing(it):\n"
         "        return len(list(it))\n"
-        "with closing(pool.ordered_map(outer, [0, 1], 2, 'outer')) as it:\n"
+        "with closing(pool.ordered_map(outer, [0, 1], 'outer')) as it:\n"
         "    list(it)\n"
     )
     assert_workers_die_with_caller(

@@ -7,10 +7,10 @@ factorization is a pure function of (N, policy) -- wall-clock jitter can
 never flip a result, which keeps whole verification reports byte-identical
 across runs with the same seed.
 
-Every prime table, from the trial primes to p-1 stage 2's segments,
-comes from one odd-only segmented sieve (Bays and Hudson, BIT 17, 1977),
-and small_primes returns each of its tables as a packed array, 4 bytes
-per prime.
+Every prime table, from the trial primes to ECM's stage-2 plan, comes
+from one odd-only segmented sieve (Bays and Hudson, BIT 17, 1977), and
+small_primes returns each of its tables as a packed array, 4 bytes per
+prime.
 Trial division takes one gcd per block of 128 consecutive primes up to
 the trial bound (each block's product is built once per bound) and scans
 a block prime by prime only when its gcd with what is left of n exceeds
@@ -25,25 +25,22 @@ Primality is deterministic Miller-Rabin below psi_13 ~ 3.3e24, with the
 first k prime bases for n below psi_k, the least strong pseudoprime to
 those k bases; above psi_13 it takes 64 rounds with bases drawn from a
 random.Random seeded with n.  Neither the block length nor the base
-tiers have a setting.  hashlib, and with it OpenSSL, is imported only for rho's
-random starts, so a process that never runs rho never loads it.
+tiers have a setting.
 
-The splitting pipeline for a stubborn composite is, in order of cost:
-perfect-power detection, Pollard p-1 stage 1 (runs at C speed through
-pow()), Brent-cycle rho, and p-1 stage 2, a baby-step/giant-step walk
-over the primes in (b1, b2] that costs one modular multiplication per
-prime.  Stage 1 uses the one base 2 and raises it by one chunk of the
-exponent at a time, with a gcd after each chunk; a chunk whose gcd is n
-is replayed one prime power at a time (backtracking), and only when a
-single prime power takes the gcd from 1 to n does stage 1 give up.  Rho
-tries a new random start (at most three in all) only after a collision,
-when its cycle closes on n itself; an attempt that runs out of
-iterations hands over to stage 2 at once, because another start would
-cost as much again.  Stage 2 walks its segments through
-pool.ordered_map, the fork-worker map the sweep in verifier also uses,
-and reads their outcomes in segment order, so its result and its work
-units are those of a serial walk.  There is no setting for the worker
-count.  Elliptic curves and sieve methods are deliberately out of scope.
+A composite that trial division leaves is split by perfect-power
+detection, then by the elliptic-curve method (Lenstra, Ann. Math. 126,
+1987) on Montgomery curves in x-only form, with Suyama's parametrisation
+and a seeded random sigma per curve.  Stage 1 is one Montgomery ladder
+over the product of the maximal prime powers <= B1 = 3000; stage 2 is a
+baby-step/giant-step walk with D = 2310 over the primes in (B1, 100 B1],
+one multiplication per pair m*D +- j (Montgomery, Math. Comp. 48, 1987;
+Zimmermann and Dodson, "20 years of ECM", ANTS 2006).  Every curve is
+charged the same units, 6 per ladder step and 1 per stage-2 term, so a
+unit stays about two modular multiplications.  The curves run in
+batches through pool.ordered_map, the fork-worker map the sweep in
+verifier also uses, and their outcomes are read in curve order, so the
+divisor found and the work units are those of a serial walk.
+There is no setting for the bounds, the batch size or the worker count.
 
 FactorPolicy and Factorization are NamedTuples that check their fields in
 __new__, which unpickling runs too.  The seed strings above spell n in
@@ -60,14 +57,14 @@ import random
 import sys
 from array import array
 from contextlib import closing, contextmanager
-from itertools import compress, islice
+from itertools import chain, compress
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import pool
 
 #: Work units charged per nominal millisecond of budget.  One unit is
-#: roughly one rho iteration on a desktop core; the constant only needs to
-#: be fixed, not accurate, for results to be reproducible.
+#: roughly two modular multiplications on a desktop core; the constant
+#: only needs to be fixed, not accurate, for results to be reproducible.
 UNITS_PER_MS = 3000
 
 # Deterministic Miller-Rabin: below _MR_PSI[k - 1] the first k bases of
@@ -97,7 +94,7 @@ class BudgetExhausted(Exception):
 
 
 #: The stages that charge work units, in pipeline order.
-STAGES = ("trial", "pm1_stage1", "rho", "pm1_stage2")
+STAGES = ("trial", "ecm")
 
 
 class WorkMeter:
@@ -118,20 +115,15 @@ class WorkMeter:
             raise BudgetExhausted
 
 
-#: Largest trial_bound and pm1_b1: each sizes a prime sieve of about half
-#: that many bytes (one flag per odd number) before any budget is charged.
-#: It is below 2**32, so small_primes can pack its primes in 4 bytes.
+#: Largest trial_bound: it sizes a prime sieve of about half that many
+#: bytes (one flag per odd number) before any budget is charged.  It is
+#: below 2**32, so small_primes can pack its primes in 4 bytes.
 MAX_SIEVE_BOUND = 10**8
-#: Largest pm1_b2: stage 2 lists its (pm1_b2 / segment) segments up front.
-MAX_PM1_B2 = 10**13
 
 
 class _FactorPolicyFields(NamedTuple):
     trial_bound: int = 1_000_000
-    rho_budget_ms: int = 4_000
     max_total_ms: int = 120_000
-    pm1_b1: int = 1_000_000
-    pm1_b2: int = 2_000_000_000
     seed: int = 1
 
 
@@ -139,12 +131,8 @@ class FactorPolicy(_FactorPolicyFields):
     """Budgets and knobs for the factorization pipeline.
 
     trial_bound   largest prime used for trial division
-    rho_budget_ms per-attempt budget for one Brent-rho run (milliseconds)
     max_total_ms  overall budget for one factor() call (milliseconds)
-    pm1_b1        Pollard p-1 stage-1 smoothness bound (0 disables p-1)
-    pm1_b2        Pollard p-1 stage-2 bound: one multiplication per prime
-                  in (pm1_b1, pm1_b2] (0 disables stage 2)
-    seed          root of all pseudo-random parameter choices
+    seed          root of all pseudo-random parameter choices (ECM's curves)
 
     The fields are checked in __new__, which unpickling runs too; _make
     and _replace skip the checks, so the package never calls them.
@@ -154,17 +142,10 @@ class FactorPolicy(_FactorPolicyFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.trial_bound < 2:
-            raise ValueError("trial_bound must be >= 2")
-        if self.rho_budget_ms <= 0 or self.max_total_ms <= 0:
-            raise ValueError("budgets must be positive")
-        if self.pm1_b1 < 0 or self.pm1_b2 < 0:
-            raise ValueError("p-1 bounds must be >= 0")
-        if max(self.trial_bound, self.pm1_b1) > MAX_SIEVE_BOUND:
-            raise ValueError(f"trial_bound and pm1_b1 must be <= "
-                             f"{MAX_SIEVE_BOUND}")
-        if self.pm1_b2 > MAX_PM1_B2:
-            raise ValueError(f"pm1_b2 must be <= {MAX_PM1_B2}")
+        if not 2 <= self.trial_bound <= MAX_SIEVE_BOUND:
+            raise ValueError(f"trial_bound must be in [2, {MAX_SIEVE_BOUND}]")
+        if self.max_total_ms <= 0:
+            raise ValueError("max_total_ms must be positive")
         return self
 
 
@@ -217,7 +198,7 @@ def big_int_strings():
 
     Reports and printed values legitimately carry integers with thousands
     of digits (P_n itself, the exact K**(2**K) bound), and so do the seed
-    strings of the Miller-Rabin bases and of rho's starts.  The caller's
+    strings of the Miller-Rabin bases and of ECM's curves.  The caller's
     limit is restored on exit, whatever it was.
     """
     if not hasattr(sys, "get_int_max_str_digits"):
@@ -256,9 +237,7 @@ def is_probable_prime(n: int) -> bool:
     Deterministic for n below psi_13 ~ 3.3e24, with the first k bases of
     _MR_BASES for n < psi_k; beyond that, 64 Miller-Rabin rounds with
     bases drawn from a random.Random seeded with n, so the answer is
-    reproducible and the error probability is below 4**-64.  That
-    generator hashes its seed with its own SHA-512, so no hashlib (and no
-    OpenSSL) is loaded here; only rho's starts load it.
+    reproducible and the error probability is below 4**-64.
     """
     if n < 2:
         return False
@@ -384,241 +363,154 @@ def _perfect_power_split(n: int) -> Optional[int]:
     return None
 
 
-def _rho_rng(seed: int, n: int, attempt: int) -> random.Random:
-    """The random source of one rho attempt, hashed from (seed, n, attempt).
-
-    hashlib is imported here, its only use in the package, so a process
-    that never runs rho never loads OpenSSL."""
-    import hashlib
-
-    with big_int_strings():
-        text = f"pellcheck-rho:{seed}:{n}:{attempt}"
-    h = hashlib.sha256(text.encode()).digest()
-    return random.Random(int.from_bytes(h, "big"))
-
-
-def _brent_rho(n: int, max_iters: int, rng: random.Random,
-               meter: WorkMeter) -> Optional[int]:
-    """One Brent-cycle rho attempt.
-
-    Returns a proper divisor of n; n itself when the cycle closed without
-    splitting n (a collision, which another start may avoid); or None when
-    max_iters ran out first.
-    """
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
-    m = 128
-    g = r = q = 1
-    iters = 0
-    x = ys = y
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        iters += r
-        meter.charge(r, "rho")
-        if iters > max_iters:
-            return None
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            steps = min(m, r - k)
-            for _ in range(steps):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = math.gcd(q, n)
-            k += m
-            iters += steps
-            meter.charge(steps, "rho")
-            if iters > max_iters:
-                return None
-        r *= 2
-    if g == n:
-        # the batched gcd overshot; replay the last block one step at a time
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(x - ys, n)
-    return g
-
-
-#: Stage 1 takes one gcd per chunk of the exponent: a run of consecutive
-#: maximal prime powers whose product has at least this many bits.
-_STAGE1_CHUNK_BITS = 1 << 15
+#: ECM's stage-1 bound B1, stage-2 bound B2, giant step D = 2*3*5*7*11,
+#: and curves per item of its fork map.
+_ECM_B1 = 3000
+_ECM_B2 = 100 * _ECM_B1
+_ECM_D = 2310
+_ECM_BATCH = 8
 
 
 @functools.cache
-def _stage1_chunks(b1: int,
-                   chunk_bits: int) -> list[tuple[tuple[int, ...], int]]:
-    """The stage-1 exponent, the product of all maximal prime powers <= b1,
-    cut into chunks in ascending prime order: (the chunk's prime powers,
-    their product).  Every chunk but the last has at least chunk_bits
-    bits."""
-    chunks = []
-    powers: list[int] = []
-    product = 1
-    for p in small_primes(b1):
-        pk = p
-        while pk * p <= b1:
-            pk *= p
-        powers.append(pk)
-        product *= pk
-        if product.bit_length() >= chunk_bits:
-            chunks.append((tuple(powers), product))
-            powers, product = [], 1
-    if powers:
-        chunks.append((tuple(powers), product))
-    return chunks
+def _ecm_tables() -> tuple[int, tuple[int, ...], list[set[int]], int]:
+    """What every curve shares, built on the first ECM call: (E, babies,
+    plan, units).  E is the product of the maximal prime powers <= B1, and
+    babies the odd j < D/2 prime to D.  plan[m - 1] holds the j for which
+    m*D + j or m*D - j is a prime in (B1, B2]; each such prime is m*D +- j
+    for one pair.  units is what a curve charges: 6 per stage-1 ladder
+    step and 1 per stage-2 term."""
+    exponent = math.lcm(*range(1, _ECM_B1 + 1))
+    babies = tuple(j for j in range(1, _ECM_D // 2, 2)
+                   if math.gcd(j, _ECM_D) == 1)
+    plan: list[set[int]] = [set() for _ in range(_ECM_B2 // _ECM_D + 1)]
+    primes = small_primes(_ECM_B2)
+    for q in primes[bisect.bisect_right(primes, _ECM_B1):]:
+        m = (q + _ECM_D // 2) // _ECM_D
+        plan[m - 1].add(abs(q - m * _ECM_D))
+    units = 6 * (exponent.bit_length() - 1) + sum(map(len, plan))
+    return exponent, babies, plan, units
 
 
-def _pm1_stage1(n: int, b1: int,
-                meter: WorkMeter) -> tuple[Optional[int], int]:
-    """Pollard p-1 stage 1 with base 2.  Returns (divisor or None, residue
-    for stage 2).
-
-    The power of 2 is raised one chunk of the exponent at a time, with a
-    gcd after each chunk.  A chunk that takes the gcd to n is replayed from
-    the previous residue one prime power at a time, and the first proper
-    divisor is returned; a prime power that takes the gcd from 1 straight
-    to n gives (None, 0).  When no gcd exceeds 1 the residue is 2^E mod n,
-    E the whole exponent.  Each power is charged half its bit length.
-    """
-    if n % 2 == 0:
-        return 2, 0
-    h = 2
-    for powers, chunk in _stage1_chunks(b1, _STAGE1_CHUNK_BITS):
-        meter.charge(chunk.bit_length() // 2 + 1, "pm1_stage1")
-        h_next = pow(h, chunk, n)
-        g = math.gcd(h_next - 1, n)
-        if g == n:
-            # several primes of n finished inside this chunk; backtrack
-            for pk in powers:
-                meter.charge(pk.bit_length() // 2 + 1, "pm1_stage1")
-                h = pow(h, pk, n)
-                g = math.gcd(h - 1, n)
-                if g != 1:
-                    break
-        if g == n:
-            return None, 0
-        if g != 1:
-            return g, 0
-        h = h_next
-    return None, h
+def _xdbl(x: int, z: int, n: int, a24: int) -> tuple[int, int]:
+    """2P on the Montgomery curve with (A + 2)/4 = a24, P = (x : z)."""
+    s = (x + z) * (x + z) % n
+    d = (x - z) * (x - z) % n
+    return s * d % n, (s - d) * (d + a24 * (s - d) % n) % n
 
 
-#: Stage 2 takes one gcd per segment of this length.
-_STAGE2_SEGMENT = 30_000_000
-
-#: Giant-step length of the stage-2 walk (2*3*5*7*11).
-_STAGE2_STEP = 2310
-
-
-def _stage2_blocks(n: int, h: int, odd_powers: list[int], start: int,
-                   flags: bytearray) -> Iterator[tuple[int, Iterator[int]]]:
-    """Group a segment's primes q by K, the least multiple of
-    D = _STAGE2_STEP with K >= q, and yield (h^K, the h^(K-q) of the
-    group's primes, in q order).
-
-    flags are _segment_sieve's flags for start, start + 2, ...;
-    odd_powers is h^(D-1), h^(D-3), ..., h^1, which is h^(K-q) for the odd
-    q = K-D+1, ..., K-1 of a block in turn.
-    """
-    step = _STAGE2_STEP
-    k = -(-start // step) * step
-    h_k = pow(h, k, n)
-    h_step = odd_powers[0] * h % n
-    i = 0
-    while i < len(flags):
-        r = k - start - 2 * i  # K - q for the block's first candidate q
-        j = i + (r + 1) // 2
-        yield h_k, compress(islice(odd_powers, (step - 1 - r) // 2, None),
-                            flags[i:j])
-        i = j
-        k += step
-        h_k = h_k * h_step % n
+def _xadd(x1: int, z1: int, x2: int, z2: int, xd: int, zd: int,
+          n: int) -> tuple[int, int]:
+    """P1 + P2 from P1, P2 and their difference (xd : zd)."""
+    u = (x1 - z1) * (x2 + z2) % n
+    v = (x1 + z1) * (x2 - z2) % n
+    return zd * ((u + v) * (u + v) % n) % n, xd * ((u - v) * (u - v) % n) % n
 
 
-def _stage2_segment(n: int, h: int, b2: int,
-                    bounds: tuple[int, int]) -> tuple[int, Optional[int]]:
-    """Walk the primes q in one stage-2 segment (lo, hi] and take its gcd.
+def _xmul(k: int, x: int, z: int, n: int, a24: int) -> tuple[int, int]:
+    """kP for k >= 1 by the Montgomery ladder, P = (x : z)."""
+    p, q = (x, z), _xdbl(x, z, n, a24)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            p, q = _xadd(*p, *q, x, z, n), _xdbl(*q, n, a24)
+        else:
+            p, q = _xdbl(*p, n, a24), _xadd(*p, *q, x, z, n)
+    return p
 
-    Each prime costs one multiplication: acc *= h^K - h^(K-q), with K the
-    least multiple of _STAGE2_STEP at or above q.  That term is
-    h^(K-q) * (h^q - 1), and h is a unit mod n (stage 1 passes on only
-    powers of a base prime to n), so gcd(acc, n) is the gcd of the plain
-    product of the h^q - 1.
 
-    Returns (number of primes, outcome), where outcome is 1 when the
-    segment finds nothing, a proper divisor of n, or None when the gcd is
-    n and the prime-by-prime replay finds no proper divisor either.
-    """
-    lo, hi = bounds
-    h2 = h * h % n
-    odd_powers = [h]
-    for _ in range(_STAGE2_STEP // 2 - 1):
-        odd_powers.append(odd_powers[-1] * h2 % n)
-    odd_powers.reverse()
-    start, flags = _segment_sieve(lo, hi, small_primes(math.isqrt(b2) + 1))
+def _ecm_curve(n: int, sigma: int) -> int:
+    """One ECM curve on n, Suyama's at sigma, from its affine point x =
+    u^3/v^3, u = sigma^2 - 5, v = 4 sigma: one inversion gives x and
+    (A + 2)/4, and a denominator that is no unit mod n gives its gcd."""
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    den = 16 * u**3 * v**4 % n
+    try:
+        inv = pow(den, -1, n)
+    except ValueError:
+        return math.gcd(den, n)
+    return _ecm_walk(n, 16 * u**6 * v * inv % n,
+                     (v - u) ** 3 * (3 * u + v) * v**3 * inv % n)
+
+
+def _ecm_walk(n: int, x: int, a24: int) -> int:
+    """ECM's two stages from the affine point x, (A + 2)/4 = a24: 1, or
+    the gcd found, a proper divisor of n or n.  Stage 1 is the ladder over
+    E; stage 2 multiplies up X_m - x_j Z_m over the plan's pairs, with
+    (X_m : Z_m) = mDQ and x_j the normalised jQ, Q the stage-1 point, so
+    a term vanishes mod a prime p of n when (mD +- j)Q = O mod p."""
+    exponent, babies, plan, _ = _ecm_tables()
+    q = _xmul(exponent, x, 1, n, a24)  # stage 1
+    g = math.gcd(q[1], n)
+    if g != 1:
+        return g
+    # jQ for odd j: (j + 2)Q = jQ + 2Q, with difference (j - 2)Q
+    twice = _xdbl(*q, n, a24)
+    odd = [q, _xadd(*q, *twice, *q, n)]
+    while 2 * len(odd) <= babies[-1]:
+        odd.append(_xadd(*odd[-1], *twice, *odd[-2], n))
+    points = [odd[j // 2] for j in babies]
+    prefix = [1]  # the products of the Z_j, for one inversion
+    for _, z in points:
+        prefix.append(prefix[-1] * z % n)
+    try:
+        inv = pow(prefix[-1], -1, n)
+    except ValueError:
+        return math.gcd(prefix[-1], n)
+    xs = {}
+    for i in reversed(range(len(points))):
+        xs[babies[i]] = points[i][0] * inv * prefix[i] % n
+        inv = inv * points[i][1] % n
+    step = _xmul(_ECM_D, *q, n, a24)
+    cur, nxt = step, _xdbl(*step, n, a24)  # mDQ and (m + 1)DQ
     acc = 1
-    for h_k, lows in _stage2_blocks(n, h, odd_powers, start, flags):
-        for low in lows:
-            acc = acc * (h_k - low) % n
-    primes = flags.count(1)
-    g = math.gcd(acc, n)
-    if g < n:
-        return primes, g
-    # several hits inside one segment; replay it prime by prime
-    for h_k, lows in _stage2_blocks(n, h, odd_powers, start, flags):
-        for low in lows:
-            g = math.gcd(h_k - low, n)
-            if 1 < g < n:
-                return primes, g
-    return primes, None
+    for pairs in plan:
+        for j in pairs:
+            acc = acc * (cur[0] - xs[j] * cur[1]) % n
+        cur, nxt = nxt, _xadd(*nxt, *step, *cur, n)
+    return math.gcd(acc, n)
 
 
-def _pm1_stage2(n: int, h: int, b1: int, b2: int,
-                meter: WorkMeter) -> Optional[int]:
-    """Pollard p-1 stage 2 over the primes q in (b1, b2], segment by segment.
-
-    The segments are walked by pool.ordered_map, on one forked worker per
-    available CPU, and their outcomes are read in segment order: each is
-    charged 3 * primes + 1000 units, and the first that is not 1 is the
-    result.  The divisor, the units charged and the point where
-    BudgetExhausted is raised are therefore those of a serial walk, and
-    every worker is killed when the walk ends, however it ends.
-    """
-    segments = [(lo, min(lo + _STAGE2_SEGMENT, b2))
-                for lo in range(b1, b2, _STAGE2_SEGMENT)]
-    walk = functools.partial(_stage2_segment, n, h, b2)
-    with closing(pool.ordered_map(walk, segments, "p-1 stage-2")) as outcomes:
-        for primes, outcome in outcomes:
-            meter.charge(3 * primes + 1000, "pm1_stage2")
-            if outcome != 1:
-                return outcome
-    return None
+def _ecm_batch(n: int, seed: int, curves: int,
+               first: int) -> tuple[int, Optional[int]]:
+    """Curves first, first + 1, ..., at most _ECM_BATCH of them and none
+    from `curves` on, until one splits n: (the curves run, the divisor or
+    None).  Curve i takes sigma = random.Random(
+    f"pellcheck-ecm:{seed}:{n}:{i}").randrange(6, n - 1)."""
+    batch = range(first, min(first + _ECM_BATCH, curves))
+    for i in batch:
+        with big_int_strings():
+            text = f"pellcheck-ecm:{seed}:{n}:{i}"
+        g = _ecm_curve(n, random.Random(text).randrange(6, n - 1))
+        if 1 < g < n:
+            return i - first + 1, g
+    return len(batch), None
 
 
 def _find_divisor(n: int, policy: FactorPolicy,
                   meter: WorkMeter) -> Optional[int]:
-    """Find one nontrivial divisor of the composite n, or None."""
+    """Find one nontrivial divisor of the composite n, or None.
+
+    After the perfect-power split, ECM curves 0, 1, ... run in batches
+    until one splits n or the meter runs dry.  The first batch runs here,
+    so a composite it splits forks nothing; the rest go through
+    pool.ordered_map.  Each curve of a batch is charged in turn, so the
+    divisor, the units and the curve whose charge raises BudgetExhausted
+    are those of a serial walk, and every worker is killed when the walk
+    ends, however it ends.
+    """
     r = _perfect_power_split(n)
     if r is not None:
         return r
-    stage2_h = 0
-    if policy.pm1_b1 >= 2:
-        g, stage2_h = _pm1_stage1(n, policy.pm1_b1, meter)
-        if g is not None:
-            return g
-    rho_iters = policy.rho_budget_ms * UNITS_PER_MS
-    for attempt in range(3):
-        g = _brent_rho(n, rho_iters, _rho_rng(policy.seed, n, attempt), meter)
-        if g is None:
-            break  # the budget ran out; a new start would cost as much
-        if g != n:
-            return g
-        # a collision: try again from the next start
-    if stage2_h and policy.pm1_b2 > policy.pm1_b1:
-        return _pm1_stage2(n, stage2_h, policy.pm1_b1, policy.pm1_b2, meter)
+    units = _ecm_tables()[3]
+    curves = (meter.total - meter.used) // units + 1  # enough to run dry
+    firsts = range(0, curves, _ECM_BATCH)
+    walk = functools.partial(_ecm_batch, n, policy.seed, curves)
+    rest = pool.ordered_map(walk, firsts[1:], "ECM")
+    with closing(rest):
+        for tried, g in chain(map(walk, firsts[:1]), rest):
+            for _ in range(tried):
+                meter.charge(units, "ecm")
+            if g is not None:
+                return g
     return None
 
 

@@ -3,7 +3,8 @@
 Subcommands: pell, factor, lehmer, identities, verify, bounds.  Structured
 output goes to stdout as canonical JSON; diagnostics go to stderr.  Exit
 status: 0 success / verified, 1 verification failure or undecided results,
-2 invalid arguments or a failed cache write, 130 interrupted (Ctrl-C; an
+2 invalid arguments or a failed cache write, 3 a worker of the sweep or
+of ECM exited (it writes no cache file), 130 interrupted (Ctrl-C; an
 interrupted sweep writes no cache file), 141 stdout closed by its reader.
 """
 
@@ -16,6 +17,7 @@ from typing import Optional
 
 from .arith import FactorPolicy, big_int_strings, factor
 from .lehmer import LehmerStatus, lehmer_check
+from .pool import WorkerExited
 from .sequences import digits10, pell_pair
 from .verifier import (
     FactorCache,
@@ -36,10 +38,7 @@ IDENTITIES_N_MAX = 20_000
 #: FactorPolicy's own
 _POLICY_FLAGS = (
     ("--trial-bound", "trial_bound", "largest trial-division prime"),
-    ("--rho-budget", "rho_budget_ms", "per-attempt rho budget in ms"),
     ("--max-total", "max_total_ms", "overall factoring budget in ms"),
-    ("--pm1-b1", "pm1_b1", "p-1 stage-1 bound (0 disables)"),
-    ("--pm1-b2", "pm1_b2", "p-1 stage-2 bound (0 disables)"),
     ("--seed", "seed", "seed for pseudo-random parameter choices"),
 )
 
@@ -299,6 +298,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerExited as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -1,14 +1,15 @@
-"""One ordered map over forked workers, for the sweep's odd indices
-(verifier) and the p-1 stage-2 segments (arith).
+"""One ordered map over forked workers.  It has two callers: the sweep
+in verifier, whose items are the odd indices, and ECM in arith, whose
+items are batches of curves.
 
 Each idle worker is sent the next item down its own pipe, and results
 are yielded in item order.  An exception raised in a worker is raised
 again at its item's position; a worker that exits, busy or idle, raises
-RuntimeError.  The map forks worker_count() workers at most.  With one
-worker or one item, in a daemonic process, off Linux or without fork,
-fn runs in this process instead.  When the map ends, however it ends,
-every worker is killed with SIGKILL and joined; close it explicitly,
-never by garbage collection.  Workers ignore SIGINT.  Each
+WorkerExited, a RuntimeError.  The map forks worker_count() workers at
+most.  With one worker or one item, in a daemonic process, off Linux or
+without fork, fn runs in this process instead.  When the map ends,
+however it ends, every worker is killed with SIGKILL and joined; close
+it explicitly, never by garbage collection.  Workers ignore SIGINT.  Each
 worker asks the kernel to SIGKILL it when its caller dies
 (PR_SET_PDEATHSIG), so a killed caller leaves no worker running, busy or
 idle, and a worker's own workers die with it in turn.  Linux sends that
@@ -22,9 +23,13 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+class WorkerExited(RuntimeError):
+    """A map's worker exited before it sent back its item's result."""
 
 
 def worker_count() -> int:
@@ -60,10 +65,10 @@ def _serve(conn, fn: Callable, caller: int) -> None:
         conn.send(reply)
 
 
-def ordered_map(fn: Callable, items: Iterable, name: str) -> Iterator:
+def ordered_map(fn: Callable, items: Sequence, name: str) -> Iterator:
     """fn(item) for each item, in item order, on forked workers; name says
     whose workers they are in errors."""
-    items = list(items)
+    worker = f"{'an' if name[:1] in 'AEIOU' else 'a'} {name} worker"
     workers = min(worker_count(), len(items))
     if workers > 1:
         import multiprocessing
@@ -100,15 +105,15 @@ def ordered_map(fn: Callable, items: Iterable, name: str) -> Iterator:
                             sent += 1
                     ready = wait([*running, *(p.sentinel for p in procs)])
                     if any(p.sentinel in ready for p in procs):
-                        raise RuntimeError(f"a {name} worker exited")
+                        raise WorkerExited(f"{worker} exited")
                     for conn in running.keys() & ready:
                         done[running.pop(conn)] = conn.recv()
                 except (EOFError, OSError):  # a pipe to an exited worker
-                    raise RuntimeError(f"a {name} worker exited") from None
+                    raise WorkerExited(f"{worker} exited") from None
             ok, result = done.pop(i)
             if not ok:
                 exc, trace = result
-                raise exc from RuntimeError(f"in a {name} worker:\n{trace}")
+                raise exc from RuntimeError(f"in {worker}:\n{trace}")
             yield result
     finally:
         for proc in procs:

@@ -49,7 +49,7 @@ from .lehmer import LehmerReason, LehmerStatus, LehmerVerdict, lehmer_check
 from .sequences import digits10, pell_pair, pell_pairs, pell_residue
 
 #: The version of the canonical report's layout, written as its "schema".
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 #: Literature floor for the number of distinct prime factors of any Lehmer
 #: number.  A configuration constant, not something this package proves.

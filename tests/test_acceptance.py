@@ -1,12 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  The full-range verification is executed twice (the
-determinism criterion needs two runs); both runs are shared across the
-criteria that inspect them.
+lines and timings.  The full-range verification runs once in this process
+and is shared across the criteria that inspect it; the determinism
+criterion runs it again as `python -m pellcheck` in a fresh process.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -30,14 +33,13 @@ from pellcheck.verifier import (
 )
 
 DEFAULT_POLICY = FactorPolicy()
-SMALL_POLICY = FactorPolicy(trial_bound=400, rho_budget_ms=50,
-                            max_total_ms=1000, pm1_b1=0, pm1_b2=0)
+SMALL_POLICY = FactorPolicy(trial_bound=400, max_total_ms=1000)
 
 _cache: dict = {}
 
 
 def full_run(key: str):
-    """Two independent full-range runs, computed once and shared."""
+    """The full-range run in this process, computed once and shared."""
     if key not in _cache:
         t0 = time.perf_counter()
         _cache[key] = (verify_range(200, DEFAULT_POLICY),
@@ -169,12 +171,30 @@ def test_criterion_6_residues_mod_4():
 
 
 def test_criterion_7_determinism():
+    # the second run is the command line's, in a fresh process with another
+    # hash seed, pinned to one CPU, so that it decides every index (and
+    # walks every ECM curve) in that one process
     report_a, elapsed_a = full_run("a")
-    report_b, elapsed_b = full_run("b")
-    ok = (report_a.to_json() == report_b.to_json()
-          and report_a == report_b
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["pellcheck"].__file__)))
+    script = (
+        "import os, runpy, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "sys.argv = ['pellcheck', 'verify', '--n-max', '200',\n"
+        "            '--format', 'structured']\n"
+        "runpy.run_module('pellcheck', run_name='__main__')\n"
+    )
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    t0 = time.perf_counter()
+    run_b = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed})
+    elapsed_b = time.perf_counter() - t0
+    ok = (run_b.returncode == 0
+          and run_b.stdout == report_a.to_json().encode("utf-8")
           and elapsed_b < 600.0)
-    report_line(7, "two full runs byte-identical", ok, elapsed_a + elapsed_b)
+    report_line(7, "a fresh one-CPU process writes the same bytes", ok,
+                elapsed_a + elapsed_b)
 
 
 def test_criterion_8_pinned_report():
@@ -183,10 +203,10 @@ def test_criterion_8_pinned_report():
     report, _ = full_run("a")
     t0 = time.perf_counter()
     text = report.to_json().encode("utf-8")
-    ok = (len(text) == 45806
-          and hashlib.sha256(text).hexdigest() == "a125db1be67d2b7c30c99"
-          "2988da9ee78a56ddab0eba88fca2a227628e0cfa52f")
-    report_line(8, "report to 200 matches the pinned 45,806 bytes",
+    ok = (len(text) == 45728
+          and hashlib.sha256(text).hexdigest() == "7874287ca771f8e7a1629"
+          "de1dbf1d616bce174dded2bcf7a56b5c836d3f3607a")
+    report_line(8, "report to 200 matches the pinned 45,728 bytes",
                 ok, time.perf_counter() - t0)
 
 
@@ -201,8 +221,8 @@ def test_criterion_8_pinned_verdicts():
     for entry in data["indices"]:
         del entry["work_units"]
     text = canonical_json(data).encode("utf-8")
-    ok = (len(text) == 42500
-          and hashlib.sha256(text).hexdigest() == "feb2653c426b8576946c6"
-          "1174fcb336e40b6bb362c6453cc03d044b2de01a079")
+    ok = (len(text) == 42428
+          and hashlib.sha256(text).hexdigest() == "842162f313dcc73eeca22"
+          "52c80e39c4af0e13419e8d0ac53dafd50b94a6a13c7")
     report_line(8, "report to 200 without work units matches the pinned "
-                   "42,500 bytes", ok, time.perf_counter() - t0)
+                   "42,428 bytes", ok, time.perf_counter() - t0)

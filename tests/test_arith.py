@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import math
 import multiprocessing
 import os
@@ -31,11 +30,9 @@ from pellcheck.arith import (
 from pellcheck.sequences import pell_pair
 
 # cheap policy for factoring small targets in bulk
-SMALL_POLICY = FactorPolicy(trial_bound=400, rho_budget_ms=50,
-                            max_total_ms=1000, pm1_b1=0, pm1_b2=0)
+SMALL_POLICY = FactorPolicy(trial_bound=400, max_total_ms=1000)
 # deliberately starved policy, for exercising partial factorizations
-TINY_POLICY = FactorPolicy(trial_bound=100, rho_budget_ms=1, max_total_ms=10,
-                           pm1_b1=0, pm1_b2=0)
+TINY_POLICY = FactorPolicy(trial_bound=100, max_total_ms=10)
 
 
 def sieve_is_prime(bound):
@@ -131,7 +128,8 @@ def test_primality_agrees_with_sympy_near_each_psi_and_below_1e12():
 
 def test_seed_strings_hold_numbers_above_the_str_digit_limit(monkeypatch):
     # P_11311 has 4,330 digits and no prime factor <= 97, so it takes the
-    # seeded bases; no real round is run (one modexp takes seconds here)
+    # seeded bases; no real round or curve is run (one modexp takes
+    # seconds here)
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int/str digit limit")
     n = pell_pair(11311).p
@@ -148,14 +146,18 @@ def test_seed_strings_hold_numbers_above_the_str_digit_limit(monkeypatch):
         monkeypatch.setattr(arith, "_miller_rabin_round",
                             lambda n, a, d, s: bases.append(a) or True)
         assert is_probable_prime(n)
-        rho = arith._rho_rng(1, n, 0)
+        sigmas = []
+        monkeypatch.setattr(arith, "_ecm_curve",
+                            lambda n, sigma: sigmas.append(sigma) or 1)
+        assert arith._ecm_batch(n, 1, 2, 0) == (2, None)
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
     rng = random.Random("pellcheck-mr:" + digits)
     assert bases == [rng.randrange(2, n - 1) for _ in range(64)]
-    h = hashlib.sha256(f"pellcheck-rho:1:{digits}:0".encode()).digest()
-    assert rho.getstate() == random.Random(int.from_bytes(h, "big")).getstate()
+    assert sigmas == [
+        random.Random(f"pellcheck-ecm:1:{digits}:{i}").randrange(6, n - 1)
+        for i in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +254,28 @@ def test_budget_dying_mid_split_yields_the_primes_on_the_stack(
 
 # full factorizations of P_n under the default policy, with the work units
 # of each stage; the sweep stops at the first witness and never reaches
-# these
+# these.  P_97 is prime, and P_131 takes 366 curves.
 FULL_FACTORIZATIONS = {
     57: (((5, 1), (37, 1), (179057, 1), (1311797, 1), (53535197, 1)),
-         (9813, 16721, 0, 0)),
+         (9813, 138600)),
     71: (((569, 1), (2644939853, 1), (353183656631413, 1)),
-         (9813, 721092, 108542, 0)),
+         (9813, 46200)),
     73: (((1873724873, 1), (1653385841290367057, 1)),
-         (9813, 16389, 0, 0)),
+         (9813, 46200)),
     85: (((29, 1), (137, 1), (3229, 1), (8297, 1), (65789, 1),
           (5293801, 1), (3276118961, 1)),
-         (9813, 16389, 0, 0)),
+         (9813, 46200)),
+    97: (((4760981394323203445293052612223893281, 1),),
+         (9813, 0)),
     123: (((5, 1), (429846869, 1), (1746860020068409, 1),
            (11358537748338103332221, 1)),
-          (9813, 35324, 0, 0)),
+          (9813, 508200)),
+    131: (((69783437, 1), (823071064447409386793, 1),
+           (856801259058475927601, 1)),
+          (9813, 16909200)),
+    149: (((15258494974757, 1),
+           (25033433662289323209446285522381470904942857, 1)),
+          (9813, 46200)),
 }
 
 
@@ -288,34 +298,34 @@ def test_factor_determinism():
 
 
 def test_factor_finds_medium_factors_with_rho():
-    # product of two primes around 1e9; trial alone cannot reach them
+    # product of two primes around 1e9; trial alone cannot reach them, and
+    # ECM, which does rho's old work, splits it
     n = 1000000007 * 1000000009
-    f = factor(n, FactorPolicy(trial_bound=1000, rho_budget_ms=2000,
-                               max_total_ms=30000, pm1_b1=0, pm1_b2=0))
+    f = factor(n, FactorPolicy(trial_bound=1000, max_total_ms=30000))
     assert f.complete
     assert [p for p, _ in f.factors] == [1000000007, 1000000009]
 
 
 def test_factor_pm1_stage1_path():
-    # p-1 = 2^4 * 3 * 5 * 127 * 401 * 1291 * 7499 is very smooth
+    # p-1 = 2^4 * 3 * 5 * 127 * 401 * 1291 * 7499 is very smooth, so ECM's
+    # walk on the nodal cubic (see the ECM tests) finds p alone, and so
+    # does factor()
     p = 118328383378321
     q = 10**17 + 3
-    f = factor(p * q, FactorPolicy(trial_bound=1000, rho_budget_ms=1,
-                                   max_total_ms=60000,
-                                   pm1_b1=10**4, pm1_b2=0))
+    assert arith._ecm_walk(p * q, 9, 0) == p
+    f = factor(p * q, FactorPolicy(trial_bound=1000, max_total_ms=60000))
     assert (p, 1) in f.factors
 
 
 def test_factor_stage_units_sum_to_used():
-    # trial division, then p-1 stage 1 finds 118328383378321 and rho
-    # splits the rest
-    n = 1000000007 * 1000000009 * 118328383378321
+    # trial division finds 7, then ECM splits the rest
+    n = 7 * 1000000007 * 1000000009 * 118328383378321
     meter = WorkMeter(10**9)
-    factor(n, FactorPolicy(trial_bound=1000, rho_budget_ms=10,
-                           pm1_b1=10**4, pm1_b2=10**5), meter=meter)
-    assert set(meter.by_stage) == set(STAGES)
+    f = factor(n, FactorPolicy(trial_bound=1000), meter=meter)
+    assert f.complete
+    assert set(meter.by_stage) == set(STAGES) == {"trial", "ecm"}
     assert sum(meter.by_stage.values()) == meter.used
-    assert all(meter.by_stage[s] > 0 for s in ("trial", "pm1_stage1", "rho"))
+    assert all(meter.by_stage[s] > 0 for s in STAGES)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +482,7 @@ def test_trial_stops_inside_a_block(no_splitting):
 
 @pytest.mark.parametrize("bound", [2, 3])
 def test_trial_bounds_two_and_three(no_splitting, bound):
-    policy = FactorPolicy(trial_bound=bound, pm1_b1=0, pm1_b2=0)
+    policy = FactorPolicy(trial_bound=bound)
     assert_trial_matches_reference(range(1, 5_000), policy)
     assert_trial_matches_reference(range(1, 5_000), policy, lehmer_stop)
 
@@ -565,149 +575,8 @@ def test_trial_ends_when_what_is_left_is_prime(monkeypatch, q):
     assert block_gcds == [3 * q]
 
 
-def test_brent_rho_tells_collision_from_exhaustion():
-    def rho(n, max_iters, seed):
-        return arith._brent_rho(n, max_iters, random.Random(seed),
-                                WorkMeter(10**9))
-
-    # from these starts the cycle on 15 closes at 15 itself, or splits it
-    assert rho(15, 10**6, 1) == 15
-    assert rho(15, 10**6, 0) == 3
-    # 100 iterations cannot split a product of two primes near 10**6
-    assert rho(1000003 * 1000033, 100, 1) is None
-
-
-def _scripted_rho(monkeypatch, outcomes):
-    """Make _brent_rho return the given outcomes in turn; return the list
-    of attempts it was asked for."""
-    calls = []
-
-    def rho(n, max_iters, rng, meter):
-        calls.append(n)
-        return outcomes[len(calls) - 1]
-
-    monkeypatch.setattr(arith, "_brent_rho", rho)
-    return calls
-
-
-def test_rho_exhausted_attempt_goes_on_to_stage2(monkeypatch):
-    n = 1000003 * 1000033
-    calls = _scripted_rho(monkeypatch, [None, 1000003, 1000003])
-    monkeypatch.setattr(arith, "_pm1_stage1", lambda n, b1, meter: (None, 5))
-    stage2 = []
-
-    def walk(n, h, b1, b2, meter):
-        stage2.append(h)
-        return 1000033
-
-    monkeypatch.setattr(arith, "_pm1_stage2", walk)
-    found = arith._find_divisor(n, FactorPolicy(), WorkMeter(10**9))
-    assert (found, calls, stage2) == (1000033, [n], [5])
-
-
-def test_rho_collision_starts_the_next_attempt(monkeypatch):
-    n = 1000003 * 1000033
-    calls = _scripted_rho(monkeypatch, [n, n, 1000003])
-    policy = FactorPolicy(pm1_b1=0, pm1_b2=0)
-    assert arith._find_divisor(n, policy, WorkMeter(10**9)) == 1000003
-    assert calls == [n, n, n]
-    # three collisions and no p-1: nothing found
-    calls = _scripted_rho(monkeypatch, [n, n, n, 1000003])
-    assert arith._find_divisor(n, policy, WorkMeter(10**9)) is None
-    assert calls == [n, n, n]
-
-
 # ---------------------------------------------------------------------------
-# p-1 stage 1
-
-
-def stage1_exponent(b1):
-    """The product of the maximal prime powers <= b1, built independently
-    as lcm(1, ..., b1)."""
-    return math.lcm(*range(1, b1 + 1))
-
-
-@pytest.mark.parametrize("b1", [2, 9, 100, 10**4])
-@pytest.mark.parametrize("bits", [1, 64, 1 << 15])
-def test_stage1_chunks_multiply_to_the_exponent(b1, bits):
-    chunks = arith._stage1_chunks(b1, bits)
-    assert math.prod(chunk for _, chunk in chunks) == stage1_exponent(b1)
-    assert all(math.prod(powers) == chunk for powers, chunk in chunks)
-    assert all(chunk.bit_length() >= bits for _, chunk in chunks[:-1])
-    # one power per prime, in ascending prime order
-    spf = smallest_factor_sieve(b1)
-    bases = [spf[pk] for powers, _ in chunks for pk in powers]
-    assert bases == [p for p in range(2, b1 + 1) if spf[p] == p]
-
-
-# p - 1 = (prime powers <= 100) * q; see the stage-2 tests below
-P_12011 = 30600 * 12011 + 1     # 30600 = 2^3 3^2 5^2 17
-P_12011_B = 31008 * 12011 + 1   # 31008 = 2^5 3 17 19
-P_9137 = 30576 * 9137 + 1       # 30576 = 2^4 3 7^2 13
-P_9161 = 30590 * 9161 + 1       # 30590 = 2 5 7 19 23
-R_1000003 = 30360 * 1000003 + 1     # q beyond every b1 and b2 below
-R_1000033 = 31920 * 1000033 + 1
-
-
-@pytest.mark.parametrize("bits", [256, 1 << 15])
-def test_pm1_stage1_residue_is_the_whole_power(monkeypatch, bits):
-    # no chunk's gcd exceeds 1, so stage 2 gets 2^E mod n
-    monkeypatch.setattr(arith, "_STAGE1_CHUNK_BITS", bits)
-    n, b1 = R_1000003 * R_1000033, 10**4
-    meter = WorkMeter(10**9)
-    assert arith._pm1_stage1(n, b1, meter) == (
-        None, pow(2, stage1_exponent(b1), n))
-    assert meter.used == sum(chunk.bit_length() // 2 + 1
-                             for _, chunk in arith._stage1_chunks(b1, bits))
-
-
-@pytest.mark.parametrize("bits", [256, 1 << 15])
-def test_pm1_stage1_replay_splits_two_smooth_primes(monkeypatch, bits):
-    # p - 1 and q - 1 are both 10^4-smooth, so 2^E - 1 is divisible by n
-    # itself; the replay finds p at the prime 9137, before 9161 ends q
-    monkeypatch.setattr(arith, "_STAGE1_CHUNK_BITS", bits)
-    n, b1 = P_9137 * P_9161, 10**4
-    assert math.gcd(pow(2, stage1_exponent(b1), n) - 1, n) == n
-    assert arith._pm1_stage1(n, b1, WorkMeter(10**9)) == (P_9137, 0)
-    f = factor(n, FactorPolicy(trial_bound=100, rho_budget_ms=1,
-                               pm1_b1=b1, pm1_b2=0))
-    assert [p for p, _ in f.factors] == [P_9137, P_9161]
-
-
-def test_pm1_stage1_one_power_reaching_n_goes_on_to_rho(monkeypatch):
-    # both primes end at the prime power 12011, so no replay splits n
-    n, b1 = P_12011 * P_12011_B, 13_000
-    assert math.gcd(pow(2, stage1_exponent(b1), n) - 1, n) == n
-    assert arith._pm1_stage1(n, b1, WorkMeter(10**9)) == (None, 0)
-    calls = _scripted_rho(monkeypatch, [P_12011])
-
-    def no_stage2(*args):
-        raise AssertionError("stage 2 has no residue to walk")
-
-    monkeypatch.setattr(arith, "_pm1_stage2", no_stage2)
-    policy = FactorPolicy(pm1_b1=b1, pm1_b2=20_000)
-    assert arith._find_divisor(n, policy, WorkMeter(10**9)) == P_12011
-    assert calls == [n]
-
-
-@pytest.mark.parametrize("n,b1", [
-    (R_1000003 * R_1000033, 10**4),     # no hit
-    (P_9137 * R_1000003, 10**4),        # a chunk's gcd splits n
-    (P_9137 * P_9161, 10**4),           # the replay splits n
-    (P_12011 * P_12011_B, 13_000),      # the replay reaches n
-])
-def test_pm1_stage1_units_are_repeatable(monkeypatch, n, b1):
-    monkeypatch.setattr(arith, "_STAGE1_CHUNK_BITS", 256)
-    meters = [WorkMeter(10**9) for _ in range(3)]
-    results = {arith._pm1_stage1(n, b1, meter) for meter in meters}
-    assert len(results) == 1
-    assert len({meter.used for meter in meters}) == 1
-    assert meters[0].by_stage == {**dict.fromkeys(STAGES, 0),
-                                  "pm1_stage1": meters[0].used}
-
-
-# ---------------------------------------------------------------------------
-# p-1 stage 2 and its segment sieve
+# the segment sieve
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -729,145 +598,416 @@ def test_segment_sieve_matches_naive_sieve(monkeypatch, lo, hi, run):
         q for q in range(lo + 1, hi + 1) if q % 2 and is_prime[q]]
 
 
-def reference_stage2(n, h, b1, b2, segment):
-    """Plain p-1 stage 2: per segment, gcd(prod(h^q - 1), n) over the odd
-    primes q in it, then a prime-by-prime replay if that gcd is n.
-    Returns (divisor or None, work units charged)."""
+# ---------------------------------------------------------------------------
+# ECM
+#
+# The p-1 method is ECM on the nodal cubic y^2 = x (x - 1)^2, the
+# Montgomery curve with A = -2 and so (A + 2)/4 = 0.  From x = 9, the
+# point whose parameter is u = 2, the point kP has x = ((2^k + 1)/(2^k - 1))^2,
+# and kP = O mod a prime p exactly when 2^k = 1 mod p.  So
+# _ecm_walk(n, 9, 0) finds what p-1 with base 2 finds at ECM's bounds, and
+# the tests named after p-1 and rho, the methods ECM took over from, check
+# ECM's ladder and stage 2 against plain modular powers, on numbers built
+# for p-1.
+
+# p - 1 = (prime powers <= 100) * q
+P_12011 = 30600 * 12011 + 1     # 30600 = 2^3 3^2 5^2 17
+P_12011_B = 31008 * 12011 + 1   # 31008 = 2^5 3 17 19
+P_9137 = 30576 * 9137 + 1       # 30576 = 2^4 3 7^2 13
+P_9161 = 30590 * 9161 + 1       # 30590 = 2 5 7 19 23
+R_1000003 = 30360 * 1000003 + 1     # q beyond every bound below
+R_1000033 = 31920 * 1000033 + 1
+
+
+def nodal_x(h, n):
+    """x of the point with parameter h on the nodal cubic, mod n."""
+    return pow((h + 1) * pow(h - 1, -1, n), 2, n)
+
+
+def affine_x(point, n):
+    x, z = point
+    return x * pow(z, -1, n) % n
+
+
+def stage1_exponent(b1):
+    """The product of the maximal prime powers <= b1, built independently
+    as lcm(1, ..., b1)."""
+    return math.lcm(*range(1, b1 + 1))
+
+
+def stage1_chunks(b1, bits):
+    """The maximal prime powers <= b1, in ascending prime order, multiplied
+    into chunks of at least `bits` bits (the last may be shorter)."""
+    is_prime = sieve_is_prime(b1)
+    chunks, chunk = [], 1
+    for p in range(2, b1 + 1):
+        if not is_prime[p]:
+            continue
+        pk = p
+        while pk * p <= b1:
+            pk *= p
+        chunk *= pk
+        if chunk.bit_length() >= bits:
+            chunks.append(chunk)
+            chunk = 1
+    if chunk > 1:
+        chunks.append(chunk)
+    return chunks
+
+
+def suyama_curve(n, sigma):
+    """(x, (A + 2)/4) of Suyama's curve at sigma, from its definition."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    x = u**3 * pow(v**3, -1, n) % n
+    return x, (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, n) % n
+
+
+@pytest.mark.parametrize("b1", [2, 9, 100, 10**4])
+@pytest.mark.parametrize("bits", [1, 64, 1 << 15])
+def test_stage1_chunks_multiply_to_the_exponent(b1, bits):
+    # the ladder over the chunks of E, one after another, reaches the point
+    # the ladder over E reaches, on a Suyama curve and on the nodal cubic,
+    # where that point is the one of the whole power 2^E
+    chunks = stage1_chunks(b1, bits)
+    exponent = stage1_exponent(b1)
+    assert math.prod(chunks) == exponent
+    assert all(chunk.bit_length() >= bits for chunk in chunks[:-1])
+    n = R_1000003 * R_1000033
+    for x, a24 in (suyama_curve(n, 7), (9, 0)):
+        point = (x, 1)
+        for chunk in chunks:
+            point = arith._xmul(chunk, *point, n, a24)
+        whole = arith._xmul(exponent, x, 1, n, a24)
+        assert point[0] * whole[1] % n == whole[0] * point[1] % n
+    assert affine_x(whole, n) == nodal_x(pow(2, exponent, n), n)
+
+
+@pytest.mark.parametrize("bits", [256, 1 << 15])
+def test_pm1_stage1_residue_is_the_whole_power(bits):
+    # on the nodal cubic the ladder over k reaches the x of 2^k: over E,
+    # and over a seeded scalar of `bits` bits
+    n = R_1000003 * R_1000033
+    scalar = random.Random(f"nodal:{bits}").getrandbits(bits) | 1 << bits - 1
+    for k in (arith._ecm_tables()[0], scalar):
+        assert affine_x(arith._xmul(k, 9, 1, n, 0), n) == nodal_x(
+            pow(2, k, n), n)
+    # and neither stage ends a prime of n
+    assert arith._ecm_walk(n, 9, 0) == 1
+
+
+@pytest.mark.parametrize("trial_bound", [256, 1 << 15])
+def test_pm1_stage1_replay_splits_two_smooth_primes(trial_bound):
+    # p - 1 and q - 1 are both 10^4-smooth, and their largest primes 9137
+    # and 9161 both lie in ECM's stage 2, so the walk on the nodal cubic
+    # ends both primes in its one gcd; ECM's real curves split n instead,
+    # after the same curves whatever the trial bound below p and q
+    n = P_9137 * P_9161
+    assert math.gcd(pow(2, stage1_exponent(10**4), n) - 1, n) == n
+    assert arith._ecm_walk(n, 9, 0) == n
+    meter = WorkMeter(10**9)
+    f = factor(n, FactorPolicy(trial_bound=trial_bound), meter=meter)
+    assert [p for p, _ in f.factors] == [P_9137, P_9161]
+    assert meter.by_stage["ecm"] == 2 * arith._ecm_tables()[3]
+
+
+def test_pm1_stage1_one_power_reaching_n_goes_on_to_rho(monkeypatch):
+    # both primes end at the prime 12011, so the walk on the nodal cubic
+    # gives n; ECM's next curve, a real one, splits n
+    n = P_12011 * P_12011_B
+    real = arith._ecm_curve
+    sigmas = []
+
+    def nodal_first(n, sigma):
+        sigmas.append(sigma)
+        if len(sigmas) == 1:
+            return arith._ecm_walk(n, 9, 0)
+        return real(n, sigma)
+
+    monkeypatch.setattr(arith, "_ecm_curve", nodal_first)
+    meter = WorkMeter(10**9)
+    assert arith._find_divisor(n, FactorPolicy(), meter) == P_12011_B
+    assert len(sigmas) == 2
+    assert meter.used == 2 * arith._ecm_tables()[3]
+
+
+@pytest.fixture
+def ecm_b1(monkeypatch):
+    """Set ECM's stage-1 bound B1, and B2 = 100 B1, for one test; its
+    tables are rebuilt for the new bounds and again after the test."""
+    def set_b1(b1):
+        monkeypatch.setattr(arith, "_ECM_B1", b1)
+        monkeypatch.setattr(arith, "_ECM_B2", 100 * b1)
+        arith._ecm_tables.cache_clear()
+
+    yield set_b1
+    arith._ecm_tables.cache_clear()
+
+
+@pytest.mark.parametrize("n,b1", [
+    (R_1000003 * R_1000033, 10**4),     # no stage-1 hit on the nodal cubic
+    (P_9137 * R_1000003, 10**4),        # one stage-1 hit
+    (P_9137 * P_9161, 10**4),           # two stage-1 hits
+    (P_12011 * P_12011_B, 13_000),      # two hits at the same prime power
+])
+def test_pm1_stage1_units_are_repeatable(ecm_b1, n, b1):
+    ecm_b1(b1)
+    exponent, _, _, units = arith._ecm_tables()
+    assert exponent == stage1_exponent(b1)
+    # the stage-1 point on the nodal cubic meets n where 2^E - 1 does
+    z = arith._xmul(exponent, 9, 1, n, 0)[1]
+    assert math.gcd(z, n) == math.gcd(pow(2, exponent, n) - 1, n)
+    meters = [WorkMeter(10**9) for _ in range(3)]
+    found = {arith._find_divisor(n, FactorPolicy(), meter) for meter in meters}
+    assert len(found) == 1 and n % found.pop() == 0
+    assert len({meter.used for meter in meters}) == 1
+    assert meters[0].used % units == 0
+    assert meters[0].by_stage == {"trial": 0, "ecm": meters[0].used}
+
+
+def reference_pm1(n, b1, b2, segment):
+    """Plain p-1 with base 2: stage 1 takes gcd(h - 1, n), h = 2^E and
+    E = lcm(1, ..., b1); stage 2 walks the primes q in (b1, b2] in
+    segments of `segment` numbers, one gcd of prod(h^q - 1) per segment.
+    Returns the first gcd above 1, or 1."""
     is_prime = sieve_is_prime(b2)
-    units = 0
+    h = pow(2, stage1_exponent(b1), n)
+    g = math.gcd(h - 1, n)
     lo = b1
-    while lo < b2:
+    while g == 1 and lo < b2:
         hi = min(lo + segment, b2)
-        primes = [q for q in range(lo + 1, hi + 1) if q % 2 and is_prime[q]]
         acc = 1
-        for q in primes:
-            acc = acc * (pow(h, q, n) - 1) % n
-        units += 3 * len(primes) + 1000
+        for q in range(lo + 1, hi + 1):
+            if is_prime[q]:
+                acc = acc * (pow(h, q, n) - 1) % n
         g = math.gcd(acc, n)
-        if 1 < g < n:
-            return g, units
-        if g == n:
-            for q in primes:
-                g = math.gcd(pow(h, q, n) - 1, n)
-                if 1 < g < n:
-                    return g, units
-            return None, units
         lo = hi
-    return None, units
+    return g
 
 
 @pytest.mark.parametrize("n,b1,expected", [
     (P_12011 * R_1000003, 100, P_12011),     # one hit
-    (P_9137 * P_9161, 100, P_9137),          # two hits in one segment
     (P_12011 * P_12011_B, 100, None),        # two hits at the same prime
     (R_1000003 * R_1000033, 100, None),      # no hit: the full walk
-    (7 * R_1000003, 2, 7),                   # q = 3 divides the step
+    (7 * R_1000003, 2, 7),                   # the order of 2 mod 7 is 3
 ])
 @pytest.mark.parametrize("segment", [3000, 30_000_000])
-def test_pm1_stage2_matches_reference(monkeypatch, n, b1, expected,
-                                      segment):
+def test_pm1_stage2_matches_reference(n, b1, expected, segment):
+    # every prime here has one prime q in (b1, B2] or none to its p - 1
+    # beyond the powers <= b1, so p-1 from stage-1 bound b1, however it is
+    # segmented, finds what ECM's walk on the nodal cubic finds with its
+    # own bounds
     for p in (P_12011, P_12011_B, P_9137, P_9161, R_1000003, R_1000033):
         assert is_probable_prime(p)
-    b2 = 20_000
-    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", segment)
-    g, h = arith._pm1_stage1(n, b1, WorkMeter(10**9))
-    assert g is None and h
-    reference = reference_stage2(n, h, b1, b2, segment)
-    # one worker walks in this process; two fork a pool once there are
-    # several segments
-    for workers in (1, 2):
-        monkeypatch.setattr(pool, "worker_count", lambda: workers)
-        meter = WorkMeter(10**9)
-        found = arith._pm1_stage2(n, h, b1, b2, meter)
-        assert (found, meter.used) == reference
-        assert found == expected
-        assert meter.by_stage == {**dict.fromkeys(STAGES, 0),
-                                  "pm1_stage2": meter.used}
-        assert multiprocessing.active_children() == []
+    g = arith._ecm_walk(n, 9, 0)
+    assert g == reference_pm1(n, b1, arith._ECM_B2, segment)
+    assert (g if 1 < g < n else None) == expected
+
+
+def test_brent_rho_tells_collision_from_exhaustion():
+    # as rho's cycle could, a curve closes on all of n, splits it, or finds
+    # nothing.  Sigma 6, 9 and 10 start from a denominator that is no unit
+    # mod 3 or mod 5; every other curve has at most 10 points mod 3 and
+    # mod 5, so E ends both primes at once
+    assert [arith._ecm_curve(15, s) for s in range(6, 14)] == [
+        3, 15, 15, 3, 5, 15, 3, 15]
+    # the product of the Mersenne primes 2^107 - 1 and 2^127 - 1 is far
+    # beyond one curve's bounds
+    assert arith._ecm_curve(((1 << 107) - 1) * ((1 << 127) - 1), 6) == 1
+
+
+def test_rho_exhausted_attempt_goes_on_to_stage2():
+    # 2 has order 12011 * (a divisor of 30600) mod P_12011, so on the nodal
+    # cubic stage 1 ends no prime, and stage 2 ends P_12011 at 12011
+    n = P_12011 * R_1000003
+    z = arith._xmul(arith._ecm_tables()[0], 9, 1, n, 0)[1]
+    assert math.gcd(z, n) == 1
+    assert arith._ecm_walk(n, 9, 0) == P_12011
+
+
+def test_rho_collision_starts_the_next_attempt(monkeypatch):
+    # a curve that ends every prime at once gives n, as a rho collision
+    # did, and the walk goes on to the next curve
+    n = 1000003 * 1000033
+    units = arith._ecm_tables()[3]
+    outcomes = iter([n, n, 1000003])
+    monkeypatch.setattr(arith, "_ecm_curve",
+                        lambda n, sigma: next(outcomes))
+    meter = WorkMeter(10**9)
+    assert arith._find_divisor(n, FactorPolicy(), meter) == 1000003
+    assert meter.used == 3 * units
+    # curves that all give n run until the budget does
+    monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma: n)
+    meter = WorkMeter(5 * units)
+    with pytest.raises(BudgetExhausted):
+        arith._find_divisor(n, FactorPolicy(), meter)
+    assert meter.used == 6 * units
+
+
+def _semiprime(digits_p, digits_q):
+    """Two primes of the given digit counts, drawn from a seeded generator
+    and checked by sympy, and their product."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"ecm-test:{digits_p}:{digits_q}")
+    p = sympy.nextprime(rng.randrange(10 ** (digits_p - 1), 10 ** digits_p))
+    q = sympy.nextprime(rng.randrange(10 ** (digits_q - 1), 10 ** digits_q))
+    return p, q
+
+
+@pytest.mark.parametrize("digits_p,digits_q", [
+    (10, 20), (12, 20), (14, 22), (16, 24), (18, 26), (20, 28)])
+def test_ecm_splits_seeded_semiprimes(digits_p, digits_q):
+    sympy = pytest.importorskip("sympy")
+    p, q = _semiprime(digits_p, digits_q)
+    f = factor(p * q, FactorPolicy(trial_bound=1000))
+    assert f.factors == ((p, 1), (q, 1)) and f.complete
+    assert all(sympy.isprime(r) for r, _ in f.factors)
+
+
+def test_ecm_splits_off_a_prime_power():
+    sympy = pytest.importorskip("sympy")
+    p, q = _semiprime(12, 14)
+    f = factor(p**2 * q, FactorPolicy(trial_bound=1000))
+    assert f.factors == ((p, 2), (q, 1)) and f.complete
+    assert sympy.isprime(p) and sympy.isprime(q)
+    f = factor(p**5, FactorPolicy(trial_bound=1000))  # the perfect-power split
+    assert f.factors == ((p, 5),)
+
+
+def test_ecm_denominator_that_is_no_unit_yields_its_gcd():
+    # sigma = 6: v = 24 is 0 mod 3 and a unit mod 5
+    assert arith._ecm_curve(15, 6) == 3
+
+
+def test_ecm_curve_whose_gcd_is_n_moves_on_to_the_next_curve():
+    # mod 101 and mod 103 every curve has an order below 123, so stage 1
+    # takes both primes at once unless the starting denominator splits n;
+    # curves 0 to 2 give n, and curve 3 gives 101
+    n = 101 * 103
+    sigmas = [random.Random(f"pellcheck-ecm:1:{n}:{i}").randrange(6, n - 1)
+              for i in range(4)]
+    assert [arith._ecm_curve(n, s) for s in sigmas] == [n, n, n, 101]
+    assert arith._ecm_batch(n, 1, 100, 0) == (4, 101)
+    meter = WorkMeter(10**9)
+    f = factor(n, FactorPolicy(trial_bound=100), meter=meter)
+    assert f.factors == ((101, 1), (103, 1))
+    assert meter.by_stage["ecm"] == 4 * arith._ecm_tables()[3]
+
+
+def test_ecm_tables_match_their_definitions():
+    exponent, babies, plan, units = arith._ecm_tables()
+    b1, b2, d = arith._ECM_B1, arith._ECM_B2, arith._ECM_D
+    # E: each prime to its largest power <= B1
+    is_prime = sieve_is_prime(b2)
+    assert exponent == math.prod(p ** int(math.log(b1, p) + 1e-9)
+                                 for p in range(2, b1 + 1) if is_prime[p])
+    assert babies == tuple(j for j in range(1, d // 2, 2)
+                           if all(j % p for p in (3, 5, 7, 11)))
+    assert len(babies) == 240  # phi(2310) / 2
+    # the plan's pairs m*D +- j cover the primes in (B1, B2] and no more
+    # pairs than needed: dropping any pair leaves a prime out
+    hits = [[q for q in (m * d - j, m * d + j) if b1 < q <= b2 and is_prime[q]]
+            for m, pairs in enumerate(plan, 1) for j in pairs]
+    assert all(hits)
+    assert sorted(q for qs in hits for q in qs) == [
+        q for q in range(b1 + 1, b2 + 1) if is_prime[q]]
+    assert units == 6 * (exponent.bit_length() - 1) + len(hits) == 46200
+
+
+# The tests named after p-1 stage 2, whose segments the fork map in pool
+# used to walk, check ECM's batches of curves on that map.
+#
+# P_113 / 677, the product of a 19-digit and a 22-digit prime: at seed 1,
+# curve 212 is the first to split it, and finds the 22-digit one
+P113_COFACTOR = pell_pair(113).p // 677
+P113_P22 = 7228091685084761880821
 
 
 def test_pm1_stage2_budget_exhausted_mid_walk(monkeypatch):
-    n = R_1000003 * R_1000033  # no hit: the walk would run to b2
-    b1, b2, segment = 100, 20_000, 3000
-    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", segment)
-    _, h = arith._pm1_stage1(n, b1, WorkMeter(10**9))
-    full = reference_stage2(n, h, b1, b2, segment)[1]
-    used = set()
+    # 20 curves and one unit: the 21st curve's charge raises, in the third
+    # batch, whatever the worker count
+    units = arith._ecm_tables()[3]
     for workers in (1, 2):
         monkeypatch.setattr(pool, "worker_count", lambda: workers)
-        meter = WorkMeter(full // 2)
+        meter = WorkMeter(20 * units + 1)
         with pytest.raises(BudgetExhausted):
-            arith._pm1_stage2(n, h, b1, b2, meter)
-        assert full // 2 < meter.used < full
-        used.add(meter.used)
+            arith._find_divisor(P113_COFACTOR, FactorPolicy(), meter)
+        assert meter.used == 21 * units
+        assert meter.by_stage == {"trial": 0, "ecm": meter.used}
         assert multiprocessing.active_children() == []
-    assert len(used) == 1
 
 
-def _stage2_hit(_):
-    n = P_12011 * R_1000003
-    _, h = arith._pm1_stage1(n, 100, WorkMeter(10**9))
-    return arith._pm1_stage2(n, h, 100, 20_000, WorkMeter(10**9))
+def test_ecm_serial_and_pooled_walks_agree(monkeypatch):
+    # 18 curves, so the walk reaches its third batch
+    p, q = _semiprime(15, 22)
+    seen = []
+    for workers in (1, 2):
+        monkeypatch.setattr(pool, "worker_count", lambda: workers)
+        meter = WorkMeter(10**9)
+        found = arith._find_divisor(p * q, FactorPolicy(), meter)
+        seen.append((found, meter.used))
+    assert seen[0] == seen[1]
+    assert seen[0][0] in (p, q)
+    assert seen[0][1] == 18 * arith._ecm_tables()[3]
+
+
+def _ecm_hit(_):
+    p, q = 5806583323, 44755875687620831389
+    return arith._find_divisor(p * q, FactorPolicy(), WorkMeter(10**9))
 
 
 def test_pm1_stage2_inside_a_daemonic_process(monkeypatch):
     # pool workers are daemonic and may not fork workers of their own, so
-    # stage 2 walks its segments in the calling process there
-    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 3000)
+    # ECM runs all its batches in the calling process there
+    monkeypatch.setattr(arith, "_ECM_BATCH", 1)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.map_async(_stage2_hit, [0]).get(timeout=60) == [P_12011]
+        assert pool.map_async(_ecm_hit, [0]).get(timeout=60) == [5806583323]
 
 
 def test_pm1_stage2_workers_end_despite_a_sigterm_handler(monkeypatch,
                                                           tmp_path):
     # the caller's Python SIGTERM handler is inherited by the workers; a
-    # worker still walking a segment after the hit must end all the same,
+    # worker still walking its batch after the hit must end all the same,
     # without running that handler
     log = tmp_path / "sigterm.txt"
-    walk = arith._stage2_segment
-
-    def first_hits_rest_hang(n, h, b2, bounds):
-        if bounds[0] == 100:
-            return walk(n, h, b2, bounds)
-        time.sleep(60)
 
     def handler(signum, frame):
         with open(log, "a", encoding="ascii") as fh:
             fh.write(f"{os.getpid()}\n")
 
-    monkeypatch.setattr(arith, "_stage2_segment", first_hits_rest_hang)
-    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
+    def second_hits_rest_hang(n, seed, curves, first):
+        if first == 0:
+            return arith._ECM_BATCH, None
+        if first == arith._ECM_BATCH:
+            return 1, P113_P22
+        time.sleep(60)
+
+    monkeypatch.setattr(arith, "_ecm_batch", second_hits_rest_hang)
     monkeypatch.setattr(pool, "worker_count", lambda: 2)
-    n = P_12011 * R_1000003
-    _, h = arith._pm1_stage1(n, 100, WorkMeter(10**9))
+    meter = WorkMeter(10**9)
     previous = signal.signal(signal.SIGTERM, handler)
     try:
         t0 = time.monotonic()
-        found = arith._pm1_stage2(n, h, 100, 40_000, WorkMeter(10**9))
+        found = arith._find_divisor(P113_COFACTOR, FactorPolicy(), meter)
         elapsed = time.monotonic() - t0
     finally:
         signal.signal(signal.SIGTERM, previous)
-    assert found == P_12011
+    assert found == P113_P22
+    assert meter.used == (arith._ECM_BATCH + 1) * arith._ecm_tables()[3]
     assert multiprocessing.active_children() == []
     assert not log.exists()
     assert elapsed < 30
 
 
 def test_pm1_stage2_worker_that_exits_is_an_error(monkeypatch):
-    walk = arith._stage2_segment
-
-    def first_exits(n, h, b2, bounds):
-        if bounds[0] == 100:
+    def second_exits(n, seed, curves, first):
+        if first == arith._ECM_BATCH:
             os._exit(3)
-        return walk(n, h, b2, bounds)
+        return arith._ECM_BATCH, None
 
-    monkeypatch.setattr(arith, "_stage2_segment", first_exits)
-    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
+    monkeypatch.setattr(arith, "_ecm_batch", second_exits)
     monkeypatch.setattr(pool, "worker_count", lambda: 2)
-    n = P_12011 * R_1000003
-    _, h = arith._pm1_stage1(n, 100, WorkMeter(10**9))
-    with pytest.raises(RuntimeError, match="stage-2 worker exited"):
-        arith._pm1_stage2(n, h, 100, 40_000, WorkMeter(10**9))
+    with pytest.raises(pool.WorkerExited, match="ECM worker exited"):
+        arith._find_divisor(P113_COFACTOR, FactorPolicy(), WorkMeter(10**9))
     assert multiprocessing.active_children() == []
 
 
@@ -895,39 +1035,35 @@ def test_cli_import_leaves_multiprocessing_unloaded():
                                 env={**os.environ, "PYTHONPATH": src})
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 []", n_max
-
-
-def test_openssl_loads_only_once_factor_reaches_rho():
-    bare = subprocess.run(
-        [sys.executable, "-c", "import sys; print('_hashlib' in sys.modules)"],
-        capture_output=True, text=True)
-    assert bare.returncode == 0, bare.stderr
-    if bare.stdout != "False\n":
-        pytest.skip("the bare interpreter loads _hashlib at startup")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pellcheck.__file__)))
-    # none of these runs rho in this process, though P_101 is above psi_13
-    # and so takes the 64 seeded Miller-Rabin rounds; the last factor()
-    # has neither trial primes nor p-1 that could split its semiprime
+    # nor does the smallest sweep load hashlib or build any table beyond
+    # those of the import: ECM's come with its first curve
     script = (
         "import sys\n"
-        "from pellcheck import (FactorPolicy, bound_chain, factor,\n"
-        "                       is_probable_prime, lehmer_check, pell_pair,\n"
-        "                       run_identity_suite, verify_range)\n"
-        "lehmer_check(999_999_999_995)\n"
-        "bound_chain(2500, 16)\n"
-        "run_identity_suite(100)\n"
-        "verify_range(40)\n"
-        "assert is_probable_prime(pell_pair(101).p)\n"
-        "print('_hashlib' in sys.modules)\n"
-        "policy = FactorPolicy(trial_bound=100, pm1_b1=0, pm1_b2=0)\n"
-        "assert factor(1_000_003 * 1_000_033, policy).complete\n"
-        "print('_hashlib' in sys.modules)\n"
+        "bare = set(sys.modules)\n"
+        "from pellcheck import arith, cli\n"
+        "tables = arith.small_primes.cache_info().currsize\n"
+        "rc = cli.main(['verify', '--n-max', '1', '--format',\n"
+        "              'structured'])\n"
+        "loaded = set(sys.modules) - bare\n"
+        "print(rc, sorted({'hashlib', '_hashlib'} & loaded),\n"
+        "      arith._ecm_tables.cache_info().currsize,\n"
+        "      arith.small_primes.cache_info().currsize - tables,\n"
+        "      file=sys.stderr)\n"
     )
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\nTrue\n"
+    assert result.stderr.splitlines()[-1] == "0 [] 0 0"
+    # the same script sees ECM's tables once factor() reaches ECM
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "from pellcheck import arith\n"
+         "arith.factor(101 * 103, arith.FactorPolicy(trial_bound=100))\n"
+         "print(arith._ecm_tables.cache_info().currsize)\n"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -993,15 +1129,13 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         FactorPolicy(trial_bound=1)
     with pytest.raises(ValueError):
-        FactorPolicy(rho_budget_ms=0)
+        FactorPolicy(max_total_ms=0)
     with pytest.raises(ValueError):
         FactorPolicy(max_total_ms=-5)
 
 
 @pytest.mark.parametrize("field, limit", [
     ("trial_bound", arith.MAX_SIEVE_BOUND),
-    ("pm1_b1", arith.MAX_SIEVE_BOUND),
-    ("pm1_b2", arith.MAX_PM1_B2),
 ])
 def test_policy_refuses_bounds_that_size_oversized_tables(field, limit):
     # construction only: nothing is sieved or listed here

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from pellcheck import cli, identities, pool, verifier
+from pellcheck import arith, cli, identities, pool, verifier
 from pellcheck.arith import FactorPolicy
 from pellcheck.cli import build_parser, main
 from pellcheck.sequences import pell_sequence
@@ -88,8 +88,7 @@ def test_lehmer_prime(capsys):
 def test_lehmer_undecided_exits_1(capsys):
     value = str((10**18 + 9) * (10**18 + 31))
     rc, out, _ = run_cli(capsys, "lehmer", "--value", value,
-                         "--trial-bound", "100", "--rho-budget", "1",
-                         "--max-total", "1", "--pm1-b1", "0", "--pm1-b2", "0")
+                         "--trial-bound", "100", "--max-total", "1")
     assert rc == 1
     assert "undecided" in out
 
@@ -152,9 +151,39 @@ def test_verify_verbose_progress(capsys):
     assert lines[8].endswith(" ms) decide[trial=9813]")
 
 
+def test_verify_exits_3_when_a_sweep_worker_exits(capsys, monkeypatch):
+    real = verifier.lehmer_check
+
+    def exits_at_p5(n, *args, **kwargs):
+        if n == 29:  # P_5, decided on a sweep worker
+            os._exit(3)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "lehmer_check", exits_at_p5)
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
+    rc, out, err = run_cli(capsys, "verify", "--n-max", "12")
+    assert rc == 3 and out == ""
+    assert err == "error: a sweep worker exited\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_factor_exits_3_when_an_ecm_worker_exits(capsys, monkeypatch):
+    def second_batch_exits(n, seed, curves, first):
+        if first == arith._ECM_BATCH:
+            os._exit(3)
+        return arith._ECM_BATCH, None
+
+    monkeypatch.setattr(arith, "_ecm_batch", second_batch_exits)
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
+    rc, out, err = run_cli(capsys, "factor", "--n", "113")
+    assert rc == 3 and out == ""
+    assert err == "error: an ECM worker exited\n"
+    assert issubclass(pool.WorkerExited, RuntimeError)
+
+
 def test_verify_starved_exits_1(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--n-max", "10",
-                         "--max-total", "1", "--pm1-b1", "0", "--pm1-b2", "0")
+                         "--max-total", "1")
     assert rc == 1
     assert "NOT reproduced" in out
 
@@ -288,10 +317,7 @@ def test_no_policy_flags_give_the_default_policy(command):
 
 @pytest.mark.parametrize("flag, field", [
     ("--trial-bound", "trial_bound"),
-    ("--rho-budget", "rho_budget_ms"),
     ("--max-total", "max_total_ms"),
-    ("--pm1-b1", "pm1_b1"),
-    ("--pm1-b2", "pm1_b2"),
     ("--seed", "seed"),
 ])
 def test_policy_flag_sets_its_field(flag, field):
@@ -299,9 +325,7 @@ def test_policy_flag_sets_its_field(flag, field):
     assert cli._policy_from(args) == FactorPolicy(**{field: 7})
 
 
-@pytest.mark.parametrize("flag, value", [("--trial-bound", 10**10),
-                                         ("--pm1-b1", 10**10),
-                                         ("--pm1-b2", 10**18)])
+@pytest.mark.parametrize("flag, value", [("--trial-bound", 10**10)])
 def test_oversized_policy_bound_exits_2(capsys, flag, value):
     # refused when the policy is built, before any table is sized
     rc, out, err = run_cli(capsys, "factor", "--value", "12", flag, str(value))

@@ -9,8 +9,7 @@ from pellcheck.lehmer import (
     lehmer_check,
 )
 
-POLICY = FactorPolicy(trial_bound=1000, rho_budget_ms=200, max_total_ms=5000,
-                      pm1_b1=10**4, pm1_b2=10**6)
+POLICY = FactorPolicy(trial_bound=1000, max_total_ms=5000)
 
 
 def sieve_phi(bound):
@@ -104,15 +103,12 @@ def test_rejection_evidence_is_sound():
 def test_monotone_staging():
     # a semiprime far beyond tiny budgets: undecided, then decided
     n = (10**9 + 7) * (10**9 + 9)
-    tiny = FactorPolicy(trial_bound=100, rho_budget_ms=1, max_total_ms=10,
-                        pm1_b1=0, pm1_b2=0)
+    tiny = FactorPolicy(trial_bound=100, max_total_ms=10)
     v_tiny = lehmer_check(n, tiny)
     assert (v_tiny.status, v_tiny.reason) == (LehmerStatus.UNDECIDED,
                                               LehmerReason.BUDGET_EXHAUSTED)
     v_full = lehmer_check(n, FactorPolicy(trial_bound=10**4,
-                                          rho_budget_ms=2000,
-                                          max_total_ms=60000,
-                                          pm1_b1=10**5, pm1_b2=10**7))
+                                          max_total_ms=60000))
     assert v_full.status == LehmerStatus.REJECTED
     # enlarging budgets resolved undecided; it can never flip a rejection
     # into holds because rejection evidence is checkable divisibility
@@ -123,8 +119,7 @@ def test_undecided_carries_partial_factorization():
     # no factor of this semiprime is reachable under the starved policy,
     # so the verdict must be undecided with the whole target as cofactor
     n = (10**18 + 9) * (10**18 + 31)
-    v = lehmer_check(n, FactorPolicy(trial_bound=10**4, rho_budget_ms=1,
-                                     max_total_ms=100, pm1_b1=0, pm1_b2=0))
+    v = lehmer_check(n, FactorPolicy(trial_bound=10**4, max_total_ms=100))
     assert (v.status, v.reason) == (LehmerStatus.UNDECIDED,
                                     LehmerReason.BUDGET_EXHAUSTED)
     assert not v.factorization.complete

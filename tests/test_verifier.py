@@ -37,10 +37,8 @@ from pellcheck.intervals import certify
 from processes import (HAS_PROC, assert_workers_die_with_caller, gone,
                        wait_until)
 
-FAST = FactorPolicy(trial_bound=10**4, rho_budget_ms=200, max_total_ms=5000,
-                    pm1_b1=10**4, pm1_b2=0)
-STARVED = FactorPolicy(trial_bound=100, rho_budget_ms=1, max_total_ms=50,
-                       pm1_b1=0, pm1_b2=0)
+FAST = FactorPolicy(trial_bound=10**4, max_total_ms=5000)
+STARVED = FactorPolicy(trial_bound=100, max_total_ms=50)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +103,7 @@ def test_elapsed_excluded_from_equality():
 
 def test_records_survive_pickle():
     # verdicts and their factorizations cross the sweep's worker pipes
-    policy = FactorPolicy(trial_bound=500, rho_budget_ms=7, seed=3)
+    policy = FactorPolicy(trial_bound=500, max_total_ms=7000, seed=3)
     report = verify_index(43, policy)
     verdict = report.verdict
     assert isinstance(verdict.factorization, Factorization)
@@ -144,9 +142,9 @@ def test_verify_range_stage_units_sum_to_work_units():
     for r in report.indices:
         assert tuple(r.decide_stage_units) == STAGES
         assert sum(r.decide_stage_units.values()) == r.work_units, r.n
-    # P_43 is decided by p-1 stage 1
+    # P_43 is decided by ECM's first curve
     r43 = report.indices[42]
-    assert r43.decide_stage_units["pm1_stage1"] > 0
+    assert r43.decide_stage_units["ecm"] > 0
     # the split is kept out of the canonical report
     assert "stage" not in report.to_json()
 
@@ -192,9 +190,13 @@ def test_sweep_pool_leaves_no_worker_when_a_task_raises(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _hung_segment(*args):
-    """A stage-2 segment walk that logs its pid and hangs."""
-    with open(os.environ["HUNG_SEGMENT_LOG"], "a", encoding="ascii") as fh:
+def _first_batch_misses_rest_hang(n, seed, curves, first):
+    """An ECM batch walk: batch 0, which runs in the caller, finds nothing;
+    each later batch, on a worker of the caller's ECM map, logs its pid and
+    hangs."""
+    if first == 0:
+        return arith._ECM_BATCH, None
+    with open(os.environ["HUNG_BATCH_LOG"], "a", encoding="ascii") as fh:
         fh.write(f"{os.getpid()}\n")
     time.sleep(60)
 
@@ -202,17 +204,15 @@ def _hung_segment(*args):
 @pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
 def test_sweep_pool_ends_the_stage2_pools_of_its_workers(monkeypatch,
                                                          tmp_path):
-    # indices 71, 73, 109 and 113 reach p-1 stage 2 under this policy, and
-    # their segment walks hang in the stage-2 pools of the sweep workers
-    # until an interrupt (here from a timer) ends the sweep: that must end
-    # those pools too
-    log = tmp_path / "stage2-pids.txt"
-    monkeypatch.setenv("HUNG_SEGMENT_LOG", str(log))
-    monkeypatch.setattr(arith, "_stage2_segment", _hung_segment)
-    monkeypatch.setattr(arith, "_STAGE2_SEGMENT", 20_000)
+    # the stage-2 pools are now ECM's, which took over from p-1 stage 2:
+    # every odd index up to 120 that trial division leaves to ECM (the
+    # first is 43) gets past its first batch, and its later batches hang
+    # in the ECM pool of its sweep worker until an interrupt (here from a
+    # timer) ends the sweep: that must end those pools too
+    log = tmp_path / "ecm-pids.txt"
+    monkeypatch.setenv("HUNG_BATCH_LOG", str(log))
+    monkeypatch.setattr(arith, "_ecm_batch", _first_batch_misses_rest_hang)
     monkeypatch.setattr(pool, "worker_count", lambda: 2)
-    policy = FactorPolicy(trial_bound=1000, rho_budget_ms=1, max_total_ms=100,
-                          pm1_b1=1000, pm1_b2=200_000)
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt
@@ -221,7 +221,7 @@ def test_sweep_pool_ends_the_stage2_pools_of_its_workers(monkeypatch,
     try:
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         with pytest.raises(KeyboardInterrupt):
-            verify_range(120, policy)
+            verify_range(120, FAST)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -247,16 +247,17 @@ def test_sweep_workers_end_when_the_cli_is_killed():
 
 @pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
 def test_stage2_workers_end_when_their_caller_is_killed():
-    # a walk of 50,000 short segments that never finds a divisor (the order
-    # of 3 mod the prime 2^127 - 1 is far above the bound): after a SIGKILL
-    # to its caller, each worker must end
+    # the workers are ECM's, which took over from p-1 stage 2: ECM on the
+    # product of the Mersenne primes 2^107 - 1 and 2^127 - 1,
+    # far beyond its bounds, with 2 workers and a budget of 10^6 curves:
+    # after a SIGKILL to its caller, each worker must end
     src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))
     script = (
         "from pellcheck import arith, pool\n"
-        "arith._STAGE2_SEGMENT = 200_000\n"
         "pool.worker_count = lambda: 2\n"
-        "arith._pm1_stage2((1 << 127) - 1, 3, 100, 10**10,\n"
-        "                  arith.WorkMeter(10**15))\n"
+        "n = ((1 << 107) - 1) * ((1 << 127) - 1)\n"
+        "meter = arith.WorkMeter(10**6 * arith._ecm_tables()[3])\n"
+        "arith._find_divisor(n, arith.FactorPolicy(), meter)\n"
     )
     assert_workers_die_with_caller(
         [sys.executable, "-c", script], 2, 5,
@@ -304,8 +305,7 @@ def test_verify_range_starved_budgets_never_hold():
 def test_verify_range_can_surface_undecided():
     # a 1 ms total budget cannot even pay for the default trial sweep, so
     # odd composite targets must come back undecided, honestly reported
-    policy = FactorPolicy(trial_bound=10**6, rho_budget_ms=1,
-                          max_total_ms=1, pm1_b1=0, pm1_b2=0)
+    policy = FactorPolicy(trial_bound=10**6, max_total_ms=1)
     report = verify_range(10, policy)
     assert report.holds_indices == ()
     # P_7 = 169 and P_9 = 5 * 197 stay unfactored
@@ -340,7 +340,7 @@ def test_report_round_trip():
     assert [d["n"] for d in data["indices"]] == list(range(1, 16))
     assert data["indices"][8]["factors"] == [[5, 1, 1], [197, 1, 1]]
     # canonical form carries no volatile timing
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert "elapsed" not in json.dumps(data)
 
 

@@ -28,18 +28,27 @@ random.Random seeded with n.  Neither the block length nor the base
 tiers have a setting.
 
 A composite that trial division leaves is split by perfect-power
-detection, then by the elliptic-curve method (Lenstra, Ann. Math. 126,
+detection, then by its least prime <= B1 = 3000 if a trial bound below
+B1 left one, then by the elliptic-curve method (Lenstra, Ann. Math. 126,
 1987) on Montgomery curves in x-only form, with Suyama's parametrisation
-and a seeded random sigma per curve.  Stage 1 is one Montgomery ladder
-over the product of the maximal prime powers <= B1 = 3000; stage 2 is a
-baby-step/giant-step walk with D = 2310 over the primes in (B1, 100 B1],
-one multiplication per pair m*D +- j (Montgomery, Math. Comp. 48, 1987;
-Zimmermann and Dodson, "20 years of ECM", ANTS 2006).  Every curve is
-charged the same units, 6 per ladder step and 1 per stage-2 term, so a
-unit stays about two modular multiplications.  The curves run in
-batches through pool.ordered_map, the fork-worker map the sweep in
-verifier also uses, and their outcomes are read in curve order, so the
-divisor found and the work units are those of a serial walk.
+and a seeded random sigma per curve.  There is one Montgomery ladder,
+from an affine x: stage 1 runs it from the curve's starting x over the
+product of the maximal prime powers <= B1, to Q.  Stage 2 is a
+baby-step/giant-step walk with D = 2310 over the primes in (B1, 100 B1]
+(Montgomery, Math. Comp. 48, 1987; Zimmermann and Dodson, "20 years of
+ECM", ANTS 2006).  The babies jQ, and the giants mDQ from the ladder run
+from the normalised x of Q, are normalised by one batch inversion each,
+so each pair m*D +- j takes one multiplication, by x_m - x_j.  A batch
+whose Z are no units mod n gives their gcd: a giant mDQ = O mod a prime
+p ends p there, where no term could.  Every curve is charged the same
+units, 6 per ladder step and 1 per stage-2 term, 46,200 in all, and
+takes about 69,400 modular multiplications: 43,300 in stage 1 (10 a
+step), 20,226 for the terms and about 5,800 to build and normalise the
+babies and giants.  So a unit is about 1.5 modular multiplications.
+The curves run in batches through pool.ordered_map, the fork-worker map
+the sweep in verifier also uses, and their outcomes are read in curve
+order, so the divisor found and the work units are those of a serial
+walk.
 There is no setting for the bounds, the batch size or the worker count.
 
 FactorPolicy and Factorization are NamedTuples that check their fields in
@@ -63,7 +72,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from . import pool
 
 #: Work units charged per nominal millisecond of budget.  One unit is
-#: roughly two modular multiplications on a desktop core; the constant
+#: about 1.5 modular multiplications of ECM (see above); the constant
 #: only needs to be fixed, not accurate, for results to be reproducible.
 UNITS_PER_MS = 3000
 
@@ -372,21 +381,23 @@ _ECM_BATCH = 8
 
 
 @functools.cache
-def _ecm_tables() -> tuple[int, tuple[int, ...], list[set[int]], int]:
+def _ecm_tables() -> tuple[int, tuple[int, ...], list[tuple[int, ...]], int]:
     """What every curve shares, built on the first ECM call: (E, babies,
     plan, units).  E is the product of the maximal prime powers <= B1, and
-    babies the odd j < D/2 prime to D.  plan[m - 1] holds the j for which
-    m*D + j or m*D - j is a prime in (B1, B2]; each such prime is m*D +- j
-    for one pair.  units is what a curve charges: 6 per stage-1 ladder
-    step and 1 per stage-2 term."""
+    babies the odd j < D/2 prime to D.  plan[m - 1] holds the positions in
+    babies of the j for which m*D + j or m*D - j is a prime in (B1, B2];
+    each such prime is m*D +- j for one pair.  units is what a curve
+    charges: 6 per stage-1 ladder step and 1 per stage-2 term."""
     exponent = math.lcm(*range(1, _ECM_B1 + 1))
     babies = tuple(j for j in range(1, _ECM_D // 2, 2)
                    if math.gcd(j, _ECM_D) == 1)
-    plan: list[set[int]] = [set() for _ in range(_ECM_B2 // _ECM_D + 1)]
+    rows: list[set[int]] = [set() for _ in range(_ECM_B2 // _ECM_D + 1)]
     primes = small_primes(_ECM_B2)
     for q in primes[bisect.bisect_right(primes, _ECM_B1):]:
         m = (q + _ECM_D // 2) // _ECM_D
-        plan[m - 1].add(abs(q - m * _ECM_D))
+        rows[m - 1].add(abs(q - m * _ECM_D))
+    plan = [tuple(i for i, j in enumerate(babies) if j in row)
+            for row in rows]
     units = 6 * (exponent.bit_length() - 1) + sum(map(len, plan))
     return exponent, babies, plan, units
 
@@ -406,15 +417,57 @@ def _xadd(x1: int, z1: int, x2: int, z2: int, xd: int, zd: int,
     return zd * ((u + v) * (u + v) % n) % n, xd * ((u - v) * (u - v) % n) % n
 
 
-def _xmul(k: int, x: int, z: int, n: int, a24: int) -> tuple[int, int]:
-    """kP for k >= 1 by the Montgomery ladder, P = (x : z)."""
-    p, q = (x, z), _xdbl(x, z, n, a24)
+def _ladder(k: int, x: int, n: int, a24: int) -> tuple[int, int]:
+    """kP = (X : Z) for k >= 1 by the Montgomery ladder from the affine x
+    of P, with the residues of the ladder from (x : 1) whose steps are an
+    _xadd of the pair (their difference is P) and an _xdbl of one of
+    them.  It skips the multiplication by z = 1 and takes each sum and
+    difference once: 10 modular multiplications a step."""
+    s = (x + 1) * (x + 1) % n
+    d = (x - 1) * (x - 1) % n
+    t = s - d
+    x1, z1, x2, z2 = x, 1, s * d % n, t * (d + a24 * t % n) % n
     for bit in bin(k)[3:]:
-        if bit == "1":
-            p, q = _xadd(*p, *q, x, z, n), _xdbl(*q, n, a24)
-        else:
-            p, q = _xdbl(*p, n, a24), _xadd(*p, *q, x, z, n)
-    return p
+        s1 = x1 + z1
+        d1 = x1 - z1
+        s2 = x2 + z2
+        d2 = x2 - z2
+        u = d1 * s2 % n
+        v = s1 * d2 % n
+        w = u + v
+        xa = w * w % n
+        w = u - v
+        za = x * (w * w % n) % n
+        if bit == "1":  # (P1, P2) becomes (P1 + P2, 2 P2)
+            s = s2 * s2 % n
+            d = d2 * d2 % n
+            t = s - d
+            x1, z1 = xa, za
+            x2, z2 = s * d % n, t * (d + a24 * t % n) % n
+        else:  # (P1, P2) becomes (2 P1, P1 + P2)
+            s = s1 * s1 % n
+            d = d1 * d1 % n
+            t = s - d
+            x1, z1 = s * d % n, t * (d + a24 * t % n) % n
+            x2, z2 = xa, za
+    return x1, z1
+
+
+def _normalise(points: list[tuple[int, int]], n: int) -> list[int] | int:
+    """The affine x of each (X : Z) by one inversion (Montgomery's batch
+    trick), or, if the product of the Z is no unit mod n, its gcd."""
+    prefix = [1]  # the products of the Z, for one inversion
+    for _, z in points:
+        prefix.append(prefix[-1] * z % n)
+    try:
+        inv = pow(prefix[-1], -1, n)
+    except ValueError:
+        return math.gcd(prefix[-1], n)
+    xs = [0] * len(points)
+    for i in reversed(range(len(points))):
+        xs[i] = points[i][0] * inv * prefix[i] % n
+        inv = inv * points[i][1] % n
+    return xs
 
 
 def _ecm_curve(n: int, sigma: int) -> int:
@@ -434,11 +487,13 @@ def _ecm_curve(n: int, sigma: int) -> int:
 def _ecm_walk(n: int, x: int, a24: int) -> int:
     """ECM's two stages from the affine point x, (A + 2)/4 = a24: 1, or
     the gcd found, a proper divisor of n or n.  Stage 1 is the ladder over
-    E; stage 2 multiplies up X_m - x_j Z_m over the plan's pairs, with
-    (X_m : Z_m) = mDQ and x_j the normalised jQ, Q the stage-1 point, so
-    a term vanishes mod a prime p of n when (mD +- j)Q = O mod p."""
+    E to Q.  Stage 2 normalises the babies jQ and the giants mDQ in one
+    batch each, and multiplies up x_m - x_j over the plan's pairs, so a
+    term vanishes mod a prime p of n when (mD +- j)Q = O mod p.  A batch
+    whose Z are no units gives their gcd: a giant mDQ = O mod p ends p
+    there, as no term x_m - x_j could."""
     exponent, babies, plan, _ = _ecm_tables()
-    q = _xmul(exponent, x, 1, n, a24)  # stage 1
+    q = _ladder(exponent, x, n, a24)  # stage 1
     g = math.gcd(q[1], n)
     if g != 1:
         return g
@@ -447,25 +502,22 @@ def _ecm_walk(n: int, x: int, a24: int) -> int:
     odd = [q, _xadd(*q, *twice, *q, n)]
     while 2 * len(odd) <= babies[-1]:
         odd.append(_xadd(*odd[-1], *twice, *odd[-2], n))
-    points = [odd[j // 2] for j in babies]
-    prefix = [1]  # the products of the Z_j, for one inversion
-    for _, z in points:
-        prefix.append(prefix[-1] * z % n)
-    try:
-        inv = pow(prefix[-1], -1, n)
-    except ValueError:
-        return math.gcd(prefix[-1], n)
-    xs = {}
-    for i in reversed(range(len(points))):
-        xs[babies[i]] = points[i][0] * inv * prefix[i] % n
-        inv = inv * points[i][1] % n
-    step = _xmul(_ECM_D, *q, n, a24)
-    cur, nxt = step, _xdbl(*step, n, a24)  # mDQ and (m + 1)DQ
+    xs = _normalise([odd[j // 2] for j in babies], n)
+    if isinstance(xs, int):
+        return xs
+    # mDQ for m = 1, ..., len(plan): DQ by the ladder from xs[0], the x
+    # of Q (babies[0] = 1), then (m + 1)DQ = mDQ + DQ
+    step = _ladder(_ECM_D, xs[0], n, a24)
+    giants = [step, _xdbl(*step, n, a24)]
+    while len(giants) < len(plan):
+        giants.append(_xadd(*giants[-1], *step, *giants[-2], n))
+    xm = _normalise(giants[:len(plan)], n)
+    if isinstance(xm, int):
+        return xm
     acc = 1
-    for pairs in plan:
-        for j in pairs:
-            acc = acc * (cur[0] - xs[j] * cur[1]) % n
-        cur, nxt = nxt, _xadd(*nxt, *step, *cur, n)
+    for x_m, row in zip(xm, plan):
+        for i in row:
+            acc = acc * (x_m - xs[i]) % n
     return math.gcd(acc, n)
 
 
@@ -489,17 +541,23 @@ def _find_divisor(n: int, policy: FactorPolicy,
                   meter: WorkMeter) -> Optional[int]:
     """Find one nontrivial divisor of the composite n, or None.
 
-    After the perfect-power split, ECM curves 0, 1, ... run in batches
-    until one splits n or the meter runs dry.  The first batch runs here,
-    so a composite it splits forks nothing; the rest go through
-    pool.ordered_map.  Each curve of a batch is charged in turn, so the
-    divisor, the units and the curve whose charge raises BudgetExhausted
-    are those of a serial walk, and every worker is killed when the walk
-    ends, however it ends.
+    After the perfect-power split, the least prime <= B1 that divides n,
+    which only a trial bound below B1 leaves, is returned uncharged: ECM's
+    stage 1 ends so small a prime on almost every curve, and when all of
+    n's primes are that small, every curve gives n.  Otherwise ECM curves
+    0, 1, ... run in batches until one splits n or the meter runs dry.
+    The first batch runs here, so a composite it splits forks nothing;
+    the rest go through pool.ordered_map.  Each curve of a batch is
+    charged in turn, so the divisor, the units and the curve whose charge
+    raises BudgetExhausted are those of a serial walk, and every worker is
+    killed when the walk ends, however it ends.
     """
     r = _perfect_power_split(n)
     if r is not None:
         return r
+    for p in small_primes(_ECM_B1):
+        if n % p == 0:
+            return p
     units = _ecm_tables()[3]
     curves = (meter.total - meter.used) // units + 1  # enough to run dry
     firsts = range(0, curves, _ECM_BATCH)

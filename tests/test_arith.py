@@ -676,8 +676,8 @@ def test_stage1_chunks_multiply_to_the_exponent(b1, bits):
     for x, a24 in (suyama_curve(n, 7), (9, 0)):
         point = (x, 1)
         for chunk in chunks:
-            point = arith._xmul(chunk, *point, n, a24)
-        whole = arith._xmul(exponent, x, 1, n, a24)
+            point = arith._ladder(chunk, affine_x(point, n), n, a24)
+        whole = arith._ladder(exponent, x, n, a24)
         assert point[0] * whole[1] % n == whole[0] * point[1] % n
     assert affine_x(whole, n) == nodal_x(pow(2, exponent, n), n)
 
@@ -689,7 +689,7 @@ def test_pm1_stage1_residue_is_the_whole_power(bits):
     n = R_1000003 * R_1000033
     scalar = random.Random(f"nodal:{bits}").getrandbits(bits) | 1 << bits - 1
     for k in (arith._ecm_tables()[0], scalar):
-        assert affine_x(arith._xmul(k, 9, 1, n, 0), n) == nodal_x(
+        assert affine_x(arith._ladder(k, 9, n, 0), n) == nodal_x(
             pow(2, k, n), n)
     # and neither stage ends a prime of n
     assert arith._ecm_walk(n, 9, 0) == 1
@@ -754,7 +754,7 @@ def test_pm1_stage1_units_are_repeatable(ecm_b1, n, b1):
     exponent, _, _, units = arith._ecm_tables()
     assert exponent == stage1_exponent(b1)
     # the stage-1 point on the nodal cubic meets n where 2^E - 1 does
-    z = arith._xmul(exponent, 9, 1, n, 0)[1]
+    z = arith._ladder(exponent, 9, n, 0)[1]
     assert math.gcd(z, n) == math.gcd(pow(2, exponent, n) - 1, n)
     meters = [WorkMeter(10**9) for _ in range(3)]
     found = {arith._find_divisor(n, FactorPolicy(), meter) for meter in meters}
@@ -819,7 +819,7 @@ def test_rho_exhausted_attempt_goes_on_to_stage2():
     # 2 has order 12011 * (a divisor of 30600) mod P_12011, so on the nodal
     # cubic stage 1 ends no prime, and stage 2 ends P_12011 at 12011
     n = P_12011 * R_1000003
-    z = arith._xmul(arith._ecm_tables()[0], 9, 1, n, 0)[1]
+    z = arith._ladder(arith._ecm_tables()[0], 9, n, 0)[1]
     assert math.gcd(z, n) == 1
     assert arith._ecm_walk(n, 9, 0) == P_12011
 
@@ -887,10 +887,11 @@ def test_ecm_curve_whose_gcd_is_n_moves_on_to_the_next_curve():
               for i in range(4)]
     assert [arith._ecm_curve(n, s) for s in sigmas] == [n, n, n, 101]
     assert arith._ecm_batch(n, 1, 100, 0) == (4, 101)
+    # factor() runs none of them: a prime <= B1 is split off uncharged
     meter = WorkMeter(10**9)
     f = factor(n, FactorPolicy(trial_bound=100), meter=meter)
     assert f.factors == ((101, 1), (103, 1))
-    assert meter.by_stage["ecm"] == 4 * arith._ecm_tables()[3]
+    assert meter.by_stage["ecm"] == 0
 
 
 def test_ecm_tables_match_their_definitions():
@@ -905,12 +906,165 @@ def test_ecm_tables_match_their_definitions():
     assert len(babies) == 240  # phi(2310) / 2
     # the plan's pairs m*D +- j cover the primes in (B1, B2] and no more
     # pairs than needed: dropping any pair leaves a prime out
-    hits = [[q for q in (m * d - j, m * d + j) if b1 < q <= b2 and is_prime[q]]
-            for m, pairs in enumerate(plan, 1) for j in pairs]
+    assert all(0 <= i < len(babies) for row in plan for i in row)
+    hits = [[q for q in (m * d - babies[i], m * d + babies[i])
+             if b1 < q <= b2 and is_prime[q]]
+            for m, row in enumerate(plan, 1) for i in row]
     assert all(hits)
     assert sorted(q for qs in hits for q in qs) == [
         q for q in range(b1 + 1, b2 + 1) if is_prime[q]]
     assert units == 6 * (exponent.bit_length() - 1) + len(hits) == 46200
+
+
+# The reference ECM curve: the projective ladder, and the stage 2 of two
+# multiplications per pair, X_m - x_j Z_m and the product, that the affine
+# ladder and the normalised giants replaced.  On the same curve it finds
+# the same gcd, except where a giant's Z is no unit mod n: there the
+# reference's terms can miss that prime, and the new walk returns the gcd
+# of the giants' Z.
+
+
+def ref_xdbl(x, z, n, a24):
+    s = (x + z) * (x + z) % n
+    d = (x - z) * (x - z) % n
+    return s * d % n, (s - d) * (d + a24 * (s - d) % n) % n
+
+
+def ref_xadd(x1, z1, x2, z2, xd, zd, n):
+    u = (x1 - z1) * (x2 + z2) % n
+    v = (x1 + z1) * (x2 - z2) % n
+    return zd * ((u + v) * (u + v) % n) % n, xd * ((u - v) * (u - v) % n) % n
+
+
+def ref_xmul(k, x, z, n, a24):
+    p, q = (x, z), ref_xdbl(x, z, n, a24)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            p, q = ref_xadd(*p, *q, x, z, n), ref_xdbl(*q, n, a24)
+        else:
+            p, q = ref_xdbl(*p, n, a24), ref_xadd(*p, *q, x, z, n)
+    return p
+
+
+def ref_plan():
+    """The j of the pairs m*D +- j, one set per m, from the plain sieve."""
+    b1, b2, d = arith._ECM_B1, arith._ECM_B2, arith._ECM_D
+    is_prime = sieve_is_prime(b2)
+    plan = [set() for _ in range(b2 // d + 1)]
+    for q in range(b1 + 1, b2 + 1):
+        if is_prime[q]:
+            m = (q + d // 2) // d
+            plan[m - 1].add(abs(q - m * d))
+    return plan
+
+
+def ref_walk(n, x, a24, plan):
+    """(the reference's gcd, the gcd of n and the product of the Z of its
+    giants mDQ, or 1 where it stops before the giants)."""
+    d = arith._ECM_D
+    q = ref_xmul(stage1_exponent(arith._ECM_B1), x, 1, n, a24)
+    g = math.gcd(q[1], n)
+    if g != 1:
+        return g, 1
+    babies = [j for j in range(1, d // 2, 2) if math.gcd(j, d) == 1]
+    twice = ref_xdbl(*q, n, a24)
+    odd = [q, ref_xadd(*q, *twice, *q, n)]
+    while 2 * len(odd) <= babies[-1]:
+        odd.append(ref_xadd(*odd[-1], *twice, *odd[-2], n))
+    points = [odd[j // 2] for j in babies]
+    prefix = [1]
+    for _, z in points:
+        prefix.append(prefix[-1] * z % n)
+    try:
+        inv = pow(prefix[-1], -1, n)
+    except ValueError:
+        return math.gcd(prefix[-1], n), 1
+    xs = {}
+    for i in reversed(range(len(points))):
+        xs[babies[i]] = points[i][0] * inv * prefix[i] % n
+        inv = inv * points[i][1] % n
+    step = ref_xmul(d, *q, n, a24)
+    cur, nxt = step, ref_xdbl(*step, n, a24)
+    acc, zs = 1, 1
+    for pairs in plan:
+        for j in pairs:
+            acc = acc * (cur[0] - xs[j] * cur[1]) % n
+        zs = zs * cur[1] % n
+        cur, nxt = nxt, ref_xadd(*nxt, *step, *cur, n)
+    return math.gcd(acc, n), math.gcd(zs, n)
+
+
+def ref_curve(n, sigma, plan):
+    g = math.gcd(16 * (sigma * sigma - 5) ** 3 * (4 * sigma) ** 4, n)
+    if g != 1:
+        return g, 1
+    x, a24 = suyama_curve(n, sigma)
+    return ref_walk(n, x, a24, plan)
+
+
+def assert_walk_matches_reference(found, reference):
+    g, giants = reference
+    assert found == (g if giants == 1 else giants)
+
+
+def test_affine_ladder_has_the_projective_ladders_residues():
+    n = P113_COFACTOR
+    rng = random.Random("affine-ladder")
+    exponent = stage1_exponent(arith._ECM_B1)
+    for x, a24 in [(9, 0), suyama_curve(n, 7)] + [
+            (rng.randrange(n), rng.randrange(n)) for _ in range(3)]:
+        for k in (1, 2, 3, 4, 5, arith._ECM_D, exponent,
+                  rng.getrandbits(300)):
+            assert arith._ladder(k, x, n, a24) == ref_xmul(k, x, 1, n, a24)
+
+
+def test_ecm_curves_match_the_reference_on_p113():
+    # curves 0-15 at seed 1 split nothing, by either walk
+    n = P113_COFACTOR
+    plan = ref_plan()
+    for i in range(16):
+        sigma = random.Random(f"pellcheck-ecm:1:{n}:{i}").randrange(6, n - 1)
+        reference = ref_curve(n, sigma, plan)
+        assert reference == (1, 1)
+        assert_walk_matches_reference(arith._ecm_curve(n, sigma), reference)
+
+
+def test_ecm_curves_match_the_reference_on_small_primes():
+    # 300 seeded curves on products of 2 or 3 primes in [3e3, 3e6]
+    sympy = pytest.importorskip("sympy")
+    plan = ref_plan()
+    rng = random.Random("ecm-reference")
+    outcomes = set()
+    for _ in range(300):
+        n = math.prod(sympy.nextprime(rng.randrange(3000, 3 * 10**6 - 100))
+                      for _ in range(rng.choice((2, 3))))
+        sigma = rng.randrange(6, n - 1)
+        reference = ref_curve(n, sigma, plan)
+        found = arith._ecm_curve(n, sigma)
+        assert_walk_matches_reference(found, reference)
+        outcomes.add("miss" if found == 1 else "n" if found == n else "split")
+    assert {"split", "n"} <= outcomes  # the misses are P_113's, above
+
+
+@pytest.mark.parametrize("n", [
+    R_1000003 * R_1000033, P_9137 * R_1000003, P_9137 * P_9161,
+    P_12011 * P_12011_B, P_12011 * R_1000003, 7 * R_1000003,
+    118328383378321 * (10**17 + 3)])
+def test_nodal_walks_match_the_reference(n):
+    assert_walk_matches_reference(arith._ecm_walk(n, 9, 0),
+                                  ref_walk(n, 9, 0, ref_plan()))
+
+
+def test_a_giant_that_is_no_unit_splits_n():
+    # on this curve the stage-1 point Q has order 4 mod 883699, so the
+    # giant 2DQ is O there and its Z is 0 mod 883699: the new walk returns
+    # 883699, and the reference, whose product of terms is 0 mod both
+    # primes, returns n
+    n = 116187860821
+    assert n == 883699 * 131479
+    sigma = 54327859
+    assert ref_curve(n, sigma, ref_plan()) == (n, 883699)
+    assert arith._ecm_curve(n, sigma) == 883699
 
 
 # The tests named after p-1 stage 2, whose segments the fork map in pool
@@ -1059,7 +1213,8 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     result = subprocess.run(
         [sys.executable, "-c",
          "from pellcheck import arith\n"
-         "arith.factor(101 * 103, arith.FactorPolicy(trial_bound=100))\n"
+         "policy = arith.FactorPolicy(trial_bound=100)\n"
+         "arith.factor(1000003 * 1000033, policy)\n"
          "print(arith._ecm_tables.cache_info().currsize)\n"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
